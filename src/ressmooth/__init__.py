@@ -8,8 +8,8 @@ from .harness import (EpochMetrics, TrialSummary, evaluate, grid_search, run_tri
                       train, write_aggregate_csv, write_metrics_csv)
 from .nn import Network, build_network, forward, forward_batch, he_init
 from .optim import AdaGradConfig, AdamConfig, SgdConfig, label_smooth, lr_at
-from .smoothing import (SmoothingConfig, adaptive_lambda, apply_smoothing, diffusivity,
-                        normalize_residual, residual, sigmoid_scale, smoothed_loss,
-                        smoothed_loss_backward, smoothing_matrix)
+from .smoothing import (SmoothingConfig, apply_smoothing, diffusivity, normalize_residual,
+                        residual, sigmoid_scale, smoothed_loss, smoothed_loss_backward,
+                        smoothing_matrix)
 
 __version__ = "0.1.0"

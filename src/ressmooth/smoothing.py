@@ -13,8 +13,12 @@ Modes:
   local        kappa = sigmoid(normalized residual; local_scale, alpha)
   global_local kappa = sigmoid(normalized residual; s_t, alpha)
 
-The `batch_*` helpers vectorize the same arithmetic over a mini-batch; they
-are what the training loop calls and are tested against the per-sample ops.
+Row j of the smoothing matrix keeps 1 - kappa_j and spreads kappa_j / (M - 1)
+onto every other element, so W = diag(a) + c 1^T with c = kappa / (M - 1) and
+a = 1 - kappa - c. The `batch_*` helpers, which the training loop calls, apply
+W in that closed form at O(BM) per step. The dense per-sample ops
+(`smoothing_matrix`, `apply_smoothing`, `smoothed_loss`,
+`smoothed_loss_backward`) are the reference path the tests check them against.
 """
 
 from dataclasses import dataclass
@@ -79,12 +83,8 @@ def sigmoid_scale(x, s: float, alpha: float) -> np.ndarray:
     if alpha < 0.0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     z = alpha * np.asarray(x, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = s / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = s * ez / (1.0 + ez)
-    return out
+    # exp(min(z, 0)) is exp(-|z|) where z < 0 and 1 elsewhere; neither overflows
+    return s * np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def diffusivity(values, s_t: float, alpha: float, mode: str,
@@ -161,18 +161,6 @@ def smoothed_loss_backward(prediction: np.ndarray, target: np.ndarray,
     return 2.0 * v * np.sign(r)
 
 
-def adaptive_lambda(f_norm: float, nu: float) -> float:
-    """Residual-driven regularization weight 1 - exp(-f_norm / nu), in [0, 1).
-
-    Diagnostic only; the training loop regularizes by diffusion instead.
-    """
-    if nu <= 0.0:
-        raise ConfigError(f"nu must be > 0, got {nu}")
-    if f_norm < 0.0:
-        raise InputError(f"f_norm must be >= 0, got {f_norm}")
-    return -np.expm1(-f_norm / nu)
-
-
 # --- batch helpers used by the training loop ---------------------------------
 
 
@@ -196,34 +184,33 @@ def batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig) -> n
     return sigmoid_scale(d_tilde, s_t, cfg.alpha)
 
 
-def batch_smoothing_matrices(kappa_rows: np.ndarray) -> np.ndarray:
-    """Stack of per-sample smoothing matrices, shape [B, M, M]."""
-    b, m = kappa_rows.shape
-    if m == 1:
-        return np.ones((b, 1, 1))
-    w = np.broadcast_to((kappa_rows / (m - 1.0))[:, :, None], (b, m, m)).copy()
-    idx = np.arange(m)
-    w[:, idx, idx] = 1.0 - kappa_rows
-    return w
-
-
 def batch_smoothed_loss_grad(predictions: np.ndarray, targets: np.ndarray,
                              s_t: float, cfg: SmoothingConfig):
     """Per-sample smoothed losses, loss gradients w.r.t. the predictions, and
     the diffusivity rows, for a whole mini-batch.
+
+    Each per-sample W = diag(a) + c 1^T is applied in closed form, O(BM) per
+    step: Wu = a*u + c*sum(u) and W^T v = a*v + sum(c*v). M = 1 is the
+    identity, and kappa = 0 gives a = 1, c = 0: plain squared error, bitwise.
 
     Returns (loss[B], grad[B, M], kappa[B, M]).
     """
     r = predictions - targets
     d = np.abs(r)
     kappa = batch_diffusivity(d, s_t, cfg)
-    w = batch_smoothing_matrices(kappa)
+    m = d.shape[1]
+    if m > 1:
+        c = kappa / (m - 1.0)
+        a = 1.0 - kappa - c
+    else:  # a single output has nothing to interpolate with: W = 1
+        c = np.zeros_like(kappa)
+        a = np.ones_like(kappa)
     u = d
     for _ in range(cfg.n_steps):
-        u = np.einsum("bjk,bk->bj", w, u)
+        u = a * u + c * u.sum(axis=1, keepdims=True)
     v = u
     for _ in range(cfg.n_steps):
-        v = np.einsum("bjk,bj->bk", w, v)
+        v = a * v + np.einsum("bj,bj->b", c, v)[:, None]
     loss = np.einsum("bj,bj->b", u, u)
     grad = 2.0 * v * np.sign(r)
     return loss, grad, kappa

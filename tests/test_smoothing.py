@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ressmooth.errors import ConfigError, InputError, ShapeError
-from ressmooth.smoothing import (SmoothingConfig, adaptive_lambda, apply_smoothing,
-                                 batch_diffusivity, batch_smoothed_loss_grad,
-                                 batch_smoothing_matrices, diffusivity, normalize_residual,
+from ressmooth.smoothing import (SmoothingConfig, apply_smoothing, batch_diffusivity,
+                                 batch_smoothed_loss_grad, diffusivity, normalize_residual,
                                  residual, sigmoid_scale, smoothed_loss,
                                  smoothed_loss_backward, smoothing_matrix)
 
@@ -104,6 +105,26 @@ def test_sigmoid_no_overflow_at_extremes():
     out = sigmoid_scale(np.array([-1e6, 1e6]), 1.0, 1.0)
     assert out[0] == 0.0
     assert out[1] == 1.0
+
+
+def test_sigmoid_bitwise_matches_two_branch_formula():
+    def two_branch(x, s, alpha):
+        z = alpha * np.asarray(x, dtype=np.float64)
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = s / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = s * ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(21)
+    x = np.concatenate([[0.0, -0.0, 1e308, -1e308],
+                        rng.normal(0.0, 1.0, 200), rng.normal(0.0, 1e3, 200)])
+    for s in (0.0, 0.37, 1.0):
+        for alpha in (0.0, 1.0, 2.5):
+            with np.errstate(over="ignore"):
+                got, want = sigmoid_scale(x, s, alpha), two_branch(x, s, alpha)
+            assert got.tobytes() == want.tobytes(), (s, alpha)
 
 
 # --- diffusivity --------------------------------------------------------------
@@ -263,21 +284,6 @@ def test_backward_matches_finite_differences():
         assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-10)
 
 
-# --- adaptive lambda diagnostic -------------------------------------------------
-
-def test_adaptive_lambda_values():
-    assert adaptive_lambda(0.0, 2.0) == 0.0
-    assert adaptive_lambda(1e9, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert adaptive_lambda(3.0, 3.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-
-
-def test_adaptive_lambda_validation():
-    with pytest.raises(ConfigError):
-        adaptive_lambda(1.0, 0.0)
-    with pytest.raises(InputError):
-        adaptive_lambda(-1.0, 1.0)
-
-
 # --- config -------------------------------------------------------------------
 
 def test_smoothing_config_validation():
@@ -295,26 +301,47 @@ def test_smoothing_config_validation():
 
 # --- batch helpers vs per-sample ops -------------------------------------------
 
+def per_sample_oracle(pred, target, s_t, cfg):
+    """Dense per-sample kappa, smoothed loss and gradient for one row."""
+    d = residual(pred, target)
+    feed = d if cfg.mode == "global" else normalize_residual(d, cfg.eps_std).d_tilde
+    kappa = diffusivity(feed, s_t, cfg.alpha, cfg.mode, cfg.local_scale)
+    w = smoothing_matrix(kappa)
+    return (kappa, smoothed_loss(d, w, cfg.n_steps),
+            smoothed_loss_backward(pred, target, w, cfg.n_steps))
+
+
 @pytest.mark.parametrize("mode", ["global", "local", "global_local"])
 def test_batch_path_matches_per_sample_ops(mode):
     rng = np.random.default_rng(18)
     cfg = SmoothingConfig(mode=mode, alpha=1.3, n_steps=2, local_scale=0.9)
-    preds = rng.uniform(0.05, 0.95, size=(16, 10))
-    targets = np.eye(10)[rng.integers(0, 10, size=16)]
     s_t = 0.7
+    for m in (10, 100):
+        preds = rng.uniform(0.05, 0.95, size=(16, m))
+        targets = np.eye(m)[rng.integers(0, m, size=16)]
+        loss, grad, kappa = batch_smoothed_loss_grad(preds, targets, s_t, cfg)
+        for i in range(16):
+            k_i, loss_i, grad_i = per_sample_oracle(preds[i], targets[i], s_t, cfg)
+            assert np.allclose(kappa[i], k_i, rtol=1e-13, atol=1e-15)
+            assert loss[i] == pytest.approx(loss_i, rel=1e-12)
+            assert np.allclose(grad[i], grad_i, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(b=st.integers(1, 16), m=st.integers(1, 128), n_steps=st.integers(1, 4),
+       mode=st.sampled_from(["global", "local", "global_local"]),
+       s_t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_batch_closed_form_matches_dense_oracle(b, m, n_steps, mode, s_t, seed):
+    rng = np.random.default_rng(seed)
+    cfg = SmoothingConfig(mode=mode, alpha=1.3, n_steps=n_steps, local_scale=0.9)
+    preds = rng.uniform(0.0, 1.0, size=(b, m))
+    targets = np.eye(m)[rng.integers(0, m, size=b)]
     loss, grad, kappa = batch_smoothed_loss_grad(preds, targets, s_t, cfg)
-    for i in range(16):
-        d = residual(preds[i], targets[i])
-        if mode == "global":
-            k_i = diffusivity(d, s_t, cfg.alpha, mode, cfg.local_scale)
-        else:
-            d_tilde = normalize_residual(d, cfg.eps_std).d_tilde
-            k_i = diffusivity(d_tilde, s_t, cfg.alpha, mode, cfg.local_scale)
-        w = smoothing_matrix(k_i)
-        assert np.allclose(kappa[i], k_i, rtol=1e-13, atol=1e-15)
-        assert loss[i] == pytest.approx(smoothed_loss(d, w, cfg.n_steps), rel=1e-12)
-        assert np.allclose(grad[i], smoothed_loss_backward(preds[i], targets[i], w, cfg.n_steps),
-                           rtol=1e-12, atol=1e-15)
+    for i in range(b):
+        k_i, loss_i, grad_i = per_sample_oracle(preds[i], targets[i], s_t, cfg)
+        assert kappa[i].tobytes() == k_i.tobytes()
+        assert np.allclose(loss[i], loss_i, rtol=1e-12, atol=0.0)
+        assert np.allclose(grad[i], grad_i, rtol=1e-12, atol=0.0)
 
 
 def test_batch_zero_scale_is_bitwise_plain_mse():
@@ -329,9 +356,15 @@ def test_batch_zero_scale_is_bitwise_plain_mse():
     assert np.array_equal(grad, 2.0 * r)
 
 
-def test_batch_matrices_single_column():
-    w = batch_smoothing_matrices(np.array([[0.3], [0.0]]))
-    assert w.tolist() == [[[1.0]], [[1.0]]]
+def test_batch_single_output_is_identity():
+    cfg = SmoothingConfig(mode="global_local", alpha=1.0, n_steps=3)
+    preds = np.array([[0.3], [0.9], [1.0]])
+    targets = np.array([[1.0], [0.0], [1.0]])
+    loss, grad, _ = batch_smoothed_loss_grad(preds, targets, 0.8, cfg)
+    r = preds - targets
+    d = np.abs(r)
+    assert np.array_equal(loss, (d * d)[:, 0])
+    assert np.array_equal(grad, 2.0 * r)
 
 
 def test_batch_diffusivity_global_matches_elementwise():
