@@ -3,7 +3,7 @@ training stack and a reproducible experiment harness."""
 
 from .annealing import AnnealSchedule, laplace_pdf_scaled, logistic_pdf_scaled, scale_at
 from .config import DatasetSpec, ExperimentConfig, ModelSpec, parse_config, parse_config_text
-from .data import Dataset, batches, load_cifar10_bin, load_idx, one_hot, subsample
+from .data import Dataset, batches, load_cifar10_bin, load_idx, subsample
 from .harness import (EpochMetrics, TrialSummary, evaluate, grid_search, run_trials,
                       train, write_aggregate_csv, write_metrics_csv)
 from .nn import Network, build_network, forward, forward_batch, he_init

@@ -7,12 +7,16 @@ IDX files (MNIST family), big-endian:
 Gzip-wrapped IDX files are accepted. CIFAR-10 binary: 3073-byte records,
 one label byte then 1024 R + 1024 G + 1024 B plane bytes.
 
-Pixels are scaled to [0, 1] by /255; no further normalization.
+The loaders return the raw uint8 pixel codes (the IDX one a view of the
+decoded bytes), so subsetting indexes one byte per pixel. `scale_pixels`
+turns the kept rows into float64 features in [0, 1] by /255; no further
+normalization.
 """
 
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +31,7 @@ CIFAR_RECORD_BYTES = 3073
 
 @dataclass
 class Dataset:
-    inputs: np.ndarray  # [n, N] float64 in [0, 1]
+    inputs: np.ndarray  # [n, N] uint8 pixel codes, or float features checked finite here
     labels: np.ndarray  # [n] int64
     class_count: int
     split: str = "train"
@@ -37,6 +41,8 @@ class Dataset:
             raise ShapeError(f"{self.inputs.shape[0]} inputs vs {self.labels.shape[0]} labels")
         if self.labels.size and int(self.labels.max()) >= self.class_count:
             raise InputError("label out of range")
+        if self.inputs.dtype.kind == "f" and not np.all(np.isfinite(self.inputs)):
+            raise InputError(f"non-finite input in the {self.split} split")
 
     @property
     def n(self) -> int:
@@ -49,13 +55,17 @@ class Dataset:
 
 def _read_maybe_gzip(path) -> bytes:
     raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
         return gzip.decompress(raw)
-    return raw
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
-    """Load an IDX image/label file pair (gzipped or raw)."""
+    """Load an IDX image/label file pair (gzipped or raw) as uint8 codes: a
+    read-only view of the decoded image bytes."""
     img = _read_maybe_gzip(images_path)
     if len(img) < 16:
         raise FormatError(f"{images_path}: truncated header at offset {len(img)}")
@@ -83,12 +93,12 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     labels = np.frombuffer(lbl, np.uint8, count, offset=8).astype(np.int64)
     if labels.size and int(labels.max()) > 9:
         raise FormatError(f"{labels_path}: label {int(labels.max())} exceeds 9")
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    return Dataset(inputs, labels, 10, split)
+    return Dataset(pixels.reshape(count, rows * cols), labels, 10, split)
 
 
 def load_cifar10_bin(paths, split: str = "train") -> Dataset:
-    """Load and concatenate CIFAR-10 binary batch files, in the given order."""
+    """Load and concatenate CIFAR-10 binary batch files, in the given order,
+    as uint8 codes."""
     pixel_parts, label_parts = [], []
     for path in paths:
         raw = _read_maybe_gzip(path)
@@ -101,18 +111,15 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
     if labels.size and int(labels.max()) > 9:
         raise FormatError(f"label {int(labels.max())} exceeds 9")
     if pixel_parts:
-        inputs = np.concatenate(pixel_parts).astype(np.float64) / 255.0
+        inputs = np.concatenate(pixel_parts)
     else:
-        inputs = np.zeros((0, CIFAR_RECORD_BYTES - 1))
+        inputs = np.zeros((0, CIFAR_RECORD_BYTES - 1), np.uint8)
     return Dataset(inputs, labels, 10, split)
 
 
-def one_hot(label: int, class_count: int) -> np.ndarray:
-    if not 0 <= label < class_count:
-        raise InputError(f"label {label} out of range for {class_count} classes")
-    vec = np.zeros(class_count)
-    vec[label] = 1.0
-    return vec
+def scale_pixels(dataset: Dataset) -> Dataset:
+    """uint8 pixel codes to float64 features in [0, 1] by /255."""
+    return replace(dataset, inputs=dataset.inputs / 255.0)
 
 
 def take_uniform(dataset: Dataset, count: int, rng: np.random.Generator) -> Dataset:

@@ -77,7 +77,8 @@ class GridResult:
 
 
 def prepare_data(config: ExperimentConfig):
-    """Load train/test splits and apply the configured subsetting."""
+    """Load train/test splits, apply the configured subsetting to the pixel
+    codes, then scale only the kept rows to float64 features."""
     ds = config.dataset
     if ds.kind == "fashion_mnist":
         train = data_mod.load_idx(ds.train_images, ds.train_labels, split="train")
@@ -89,7 +90,13 @@ def prepare_data(config: ExperimentConfig):
         train = data_mod.take_uniform(train, ds.take, substream(ds.seed, "take"))
     if ds.subsample_ratio < 1.0:
         train = data_mod.subsample(train, ds.subsample_ratio, substream(ds.seed, "ratio"))
-    return train, test
+    return data_mod.scale_pixels(train), data_mod.scale_pixels(test)
+
+
+def _require_features(dataset: data_mod.Dataset):
+    if dataset.inputs.dtype.kind != "f":
+        raise InputError(f"{dataset.split} split holds {dataset.inputs.dtype} codes, "
+                         "not float features; scale it with data.scale_pixels")
 
 
 def _augment_rows(xb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -115,6 +122,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair=None):
     train_ds, test_ds = dataset_pair
     if train_ds.n == 0:
         raise InputError("empty training split")
+    _require_features(train_ds)
+    _require_features(test_ds)
 
     dims = [train_ds.feature_count, *config.model.hidden, train_ds.class_count]
     network = nn.he_init(
@@ -189,6 +198,7 @@ def evaluate(network: nn.Network, dataset: data_mod.Dataset, chunk: int = 4096):
     The predicted class is the first index attaining the output maximum."""
     if dataset.n == 0:
         raise InputError("cannot evaluate on an empty dataset")
+    _require_features(dataset)
     eye = np.eye(dataset.class_count)
     correct = 0
     loss_sum = 0.0

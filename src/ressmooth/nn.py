@@ -177,12 +177,13 @@ def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> Grad
 
 
 def forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
-    """Forward pass for a [B, N] batch; same caching as `forward`."""
+    """Forward pass for a [B, N] batch; same caching as `forward`.
+
+    Inputs are not checked for finiteness here: they come from a `Dataset`,
+    which validates its float inputs once when it is built."""
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != network.input_dim:
         raise ShapeError(f"expected [B, {network.input_dim}] inputs, got {xb.shape}")
-    if not np.all(np.isfinite(xb)):
-        raise InputError("non-finite input")
     pre, post = [], []
     a = xb
     for layer, act in zip(network.layers, network.activations):
@@ -259,6 +260,8 @@ def load_checkpoint(path):
             pairs.append((w.astype(np.float64), b.astype(np.float64)))
     except struct.error as exc:
         raise FormatError(f"checkpoint truncated at offset {offset} in {path}") from exc
+    if offset != len(raw):
+        raise FormatError(f"{len(raw) - offset} trailing bytes at offset {offset} in {path}")
     return pairs
 
 

@@ -113,6 +113,14 @@ def test_missing_dataset_file_exits_nonzero(tiny_corpus, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_damaged_gzip_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    images = tmp_path / "ti.gz"
+    images.write_bytes(images.read_bytes()[:-12])  # deflate stream cut short
+    assert main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "ti.gz" in err
+
+
 def test_bad_grid_flag_exits_nonzero(tiny_corpus, capsys):
     assert main(["grid", "--config", str(tiny_corpus), "--b-grid", "a,b"]) == 2
     assert "error:" in capsys.readouterr().err

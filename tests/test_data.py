@@ -1,12 +1,13 @@
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from conftest import write_idx_pair
 from ressmooth.data import (Dataset, augment_pad_crop_flip, batches, load_cifar10_bin,
-                            load_idx, one_hot, pad_crop_flip, subsample, take_uniform)
+                            load_idx, pad_crop_flip, subsample, take_uniform)
 from ressmooth.errors import ConfigError, FormatError, InputError, ShapeError
 
 
@@ -34,7 +35,8 @@ def test_load_idx_round_trip_bit_exact(tmp_path):
     labels = rng.integers(0, 10, size=10).astype(np.uint8)
     write_idx_pair(images, labels, tmp_path / "i.gz", tmp_path / "l.gz")
     ds = load_idx(tmp_path / "i.gz", tmp_path / "l.gz")
-    assert np.array_equal(ds.inputs, images.reshape(10, 784).astype(np.float64) / 255.0)
+    assert ds.inputs.dtype == np.uint8
+    assert np.array_equal(ds.inputs, images.reshape(10, 784))
     assert np.array_equal(ds.labels, labels.astype(np.int64))
 
 
@@ -91,7 +93,8 @@ def test_load_cifar_single_record(tmp_path):
     ds = load_cifar10_bin([path])
     assert ds.n == 1
     assert ds.labels.tolist() == [3]
-    assert np.array_equal(ds.inputs, np.ones((1, 3072)))
+    assert ds.inputs.dtype == np.uint8
+    assert np.array_equal(ds.inputs, np.full((1, 3072), 255, np.uint8))
 
 
 def test_load_cifar_empty_file_is_valid(tmp_path):
@@ -121,24 +124,43 @@ def test_load_cifar_plane_order(tmp_path):
     (tmp_path / "p.bin").write_bytes(record)
     ds = load_cifar10_bin([tmp_path / "p.bin"])
     img = ds.inputs[0].reshape(3, 32, 32)
-    assert np.allclose(img[0], 10 / 255.0)
-    assert np.allclose(img[1], 20 / 255.0)
-    assert np.allclose(img[2], 30 / 255.0)
+    assert ds.inputs.dtype == np.uint8
+    assert np.array_equal(img[0], np.full((32, 32), 10, np.uint8))
+    assert np.array_equal(img[1], np.full((32, 32), 20, np.uint8))
+    assert np.array_equal(img[2], np.full((32, 32), 30, np.uint8))
 
 
-# --- one-hot ----------------------------------------------------------------------
+# --- damaged gzip --------------------------------------------------------------------
 
-def test_one_hot():
-    assert one_hot(2, 4).tolist() == [0.0, 0.0, 1.0, 0.0]
-    assert one_hot(0, 1).tolist() == [1.0]
-    assert float(one_hot(5, 9).sum()) == 1.0
+def _truncated(blob):
+    return blob[:-12]  # the deflate stream ends early
 
 
-def test_one_hot_out_of_range():
-    with pytest.raises(InputError):
-        one_hot(4, 4)
-    with pytest.raises(InputError):
-        one_hot(-1, 4)
+def _bad_block_type(blob):
+    damaged = bytearray(blob)
+    damaged[10] |= 0b110  # first deflate block type := 3, which is reserved
+    return bytes(damaged)
+
+
+def _bad_crc(blob):
+    damaged = bytearray(blob)
+    damaged[-8] ^= 0xFF  # first byte of the CRC-32 trailer
+    return bytes(damaged)
+
+
+@pytest.mark.parametrize("damage, cause", [(_truncated, EOFError), (_bad_block_type, zlib.error),
+                                           (_bad_crc, gzip.BadGzipFile)])
+def test_damaged_gzip_is_a_format_error(tmp_path, damage, cause):
+    images = np.random.default_rng(28).integers(0, 256, size=(4, 28, 28)).astype(np.uint8)
+    write_idx_pair(images, np.arange(4, dtype=np.uint8), tmp_path / "i.gz", tmp_path / "l.gz")
+    (tmp_path / "i.gz").write_bytes(damage((tmp_path / "i.gz").read_bytes()))
+    with pytest.raises(FormatError, match="i.gz") as idx_err:
+        load_idx(tmp_path / "i.gz", tmp_path / "l.gz")
+    assert isinstance(idx_err.value.__cause__, cause)
+    (tmp_path / "c.bin.gz").write_bytes(damage(gzip.compress(bytes(range(256)) * 12 + bytes(1))))
+    with pytest.raises(FormatError, match="c.bin.gz") as cifar_err:
+        load_cifar10_bin([tmp_path / "c.bin.gz"])
+    assert isinstance(cifar_err.value.__cause__, cause)
 
 
 # --- subsetting --------------------------------------------------------------------
@@ -254,3 +276,13 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(4, np.int64), 10)
     with pytest.raises(InputError):
         Dataset(np.zeros((2, 2)), np.array([0, 10]), 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_inputs(bad):
+    inputs = np.zeros((3, 2))
+    inputs[1, 0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        Dataset(inputs, np.zeros(3, np.int64), 10, "test")
+    with pytest.raises(InputError, match="non-finite"):
+        Dataset(inputs.astype(np.float32), np.zeros(3, np.int64), 10, "test")

@@ -1,14 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from ressmooth.annealing import AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
+from ressmooth.data import load_cifar10_bin, load_idx, subsample, take_uniform
 from ressmooth.errors import ConfigError, InputError, TrainingError
 from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, evaluate,
-                               grid_search, read_csv, run_trials, summarize, train,
-                               write_aggregate_csv, write_metrics_csv)
+                               grid_search, prepare_data, read_csv, run_trials, substream,
+                               summarize, train, write_aggregate_csv, write_metrics_csv)
 from ressmooth.nn import DenseLayer, Network, build_network
 from ressmooth.optim import SgdConfig
 from ressmooth.smoothing import SmoothingConfig
@@ -38,6 +41,82 @@ def blob_pair(make_blobs, seed=0):
     train_ds = make_blobs(n_per_class=40, noise=0.4, seed=seed, split="train")
     test_ds = make_blobs(n_per_class=20, noise=0.4, seed=seed + 1, split="test")
     return train_ds, test_ds
+
+
+# --- data preparation ------------------------------------------------------------
+
+def _old_prepare_data(spec, train_codes, test_codes):
+    """The former path: every row scaled to float64 at load, then subset."""
+    def scale(ds):
+        return dataclasses.replace(ds, inputs=ds.inputs.astype(np.float64) / 255.0)
+    train_ds, test_ds = scale(train_codes), scale(test_codes)
+    if spec.take > 0:
+        train_ds = take_uniform(train_ds, spec.take, substream(spec.seed, "take"))
+    if spec.subsample_ratio < 1.0:
+        train_ds = subsample(train_ds, spec.subsample_ratio, substream(spec.seed, "ratio"))
+    return train_ds, test_ds
+
+
+def _idx_spec(tmp_path, n_train=300, n_test=40, shape=(7, 9), **subset):
+    rng = np.random.default_rng(34)
+    for split, n in (("train", n_train), ("test", n_test)):
+        write_idx_pair(rng.integers(0, 256, size=(n, *shape)).astype(np.uint8),
+                       rng.integers(0, 10, size=n).astype(np.uint8),
+                       tmp_path / f"{split}_i.gz", tmp_path / f"{split}_l.gz")
+    return DatasetSpec(kind="fashion_mnist", seed=12, **subset,
+                       train_images=str(tmp_path / "train_i.gz"),
+                       train_labels=str(tmp_path / "train_l.gz"),
+                       test_images=str(tmp_path / "test_i.gz"),
+                       test_labels=str(tmp_path / "test_l.gz"))
+
+
+def _cifar_spec(tmp_path, **subset):
+    rng = np.random.default_rng(35)
+    for name, n in (("a", 20), ("b", 13), ("t", 6)):
+        records = np.concatenate([rng.integers(0, 10, size=(n, 1)),
+                                  rng.integers(0, 256, size=(n, 3072))], axis=1)
+        (tmp_path / f"{name}.bin").write_bytes(records.astype(np.uint8).tobytes())
+    return DatasetSpec(kind="cifar10", seed=13, **subset,
+                       train_files=(str(tmp_path / "a.bin"), str(tmp_path / "b.bin")),
+                       test_files=(str(tmp_path / "t.bin"),))
+
+
+@pytest.mark.parametrize("make_spec, subset", [
+    (_idx_spec, {"take": 120}),
+    (_idx_spec, {"subsample_ratio": 0.3}),
+    (_idx_spec, {"take": 200, "subsample_ratio": 0.5}),
+    (_cifar_spec, {"take": 25, "subsample_ratio": 0.6}),
+])
+def test_prepare_data_matches_scale_then_subset_oracle(tmp_path, make_spec, subset):
+    spec = make_spec(tmp_path, **subset)
+    cfg = dataclasses.replace(blob_config(), dataset=spec)
+    if spec.kind == "cifar10":
+        codes = (load_cifar10_bin(spec.train_files), load_cifar10_bin(spec.test_files, "test"))
+    else:
+        codes = (load_idx(spec.train_images, spec.train_labels),
+                 load_idx(spec.test_images, spec.test_labels, "test"))
+    for got, want in zip(prepare_data(cfg), _old_prepare_data(spec, *codes)):
+        assert got.inputs.dtype == np.float64
+        assert got.inputs.shape == want.inputs.shape
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.split == want.split
+
+
+def test_prepare_data_scales_only_the_kept_rows(tmp_path):
+    """A regression guard on the data path's memory: the traced peak of
+    preparing a 500-row subset stays below one full train split in float64,
+    so converting every row before subsetting fails it."""
+    spec = _idx_spec(tmp_path, n_train=6000, n_test=500, shape=(28, 28), take=500)
+    cfg = dataclasses.replace(blob_config(), dataset=spec)
+    tracemalloc.start()
+    try:
+        train_ds, _ = prepare_data(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert train_ds.n == 500
+    assert peak < 6000 * 784 * 8, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 # --- training loop -------------------------------------------------------------
@@ -197,6 +276,20 @@ def test_train_rejects_empty_split(make_blobs):
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), 2, "train")
     with pytest.raises(InputError):
         train(blob_config(), 0, (empty, blob_pair(make_blobs)[1]))
+
+
+def test_train_and_evaluate_reject_pixel_codes(make_blobs):
+    def to_codes(ds):
+        codes = np.clip(ds.inputs * 40 + 128, 0, 255).astype(np.uint8)
+        return dataclasses.replace(ds, inputs=codes)
+
+    train_ds, test_ds = blob_pair(make_blobs)
+    with pytest.raises(InputError, match="train split holds uint8 codes"):
+        train(blob_config(epochs=1), 0, (to_codes(train_ds), test_ds))
+    with pytest.raises(InputError, match="test split holds uint8 codes"):
+        train(blob_config(epochs=1), 0, (train_ds, to_codes(test_ds)))
+    with pytest.raises(InputError, match="test split holds uint8 codes"):
+        evaluate(build_network([4, 2]), to_codes(test_ds))
 
 
 # --- evaluation ------------------------------------------------------------------

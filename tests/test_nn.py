@@ -191,6 +191,16 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes(tmp_path):
+    net = random_net([4, 3, 2], seed=18)
+    path = tmp_path / "net.rsm"
+    save_checkpoint(net, path)
+    end = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(FormatError, match=f"4 trailing bytes at offset {end} "):
+        load_checkpoint(path)
+
+
 def test_load_parameters_shape_mismatch(tmp_path):
     net = random_net([4, 2], seed=17)
     path = tmp_path / "net.rsm"
