@@ -1,12 +1,13 @@
 """Declarative experiment configuration and its INI-file parser.
 
 A config file has sections [dataset], [model], [optimizer], [regularizer]
-and [run]; keys mirror the dataclass fields below. Unknown sections or keys
-are a hard error so typos in grid scripts cannot pass silently.
+and [run]; `_KEYS` maps each key to the dataclass field it sets, and omitted
+keys take the dataclass defaults. Unknown sections or keys are a hard error
+so typos in grid scripts cannot pass silently.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .annealing import AnnealSchedule
@@ -46,6 +47,8 @@ class DatasetSpec:
             raise ConfigError(f"take must be >= 0, got {self.take}")
         if not 0.0 < self.subsample_ratio <= 1.0:
             raise ConfigError(f"subsample_ratio must be in (0, 1], got {self.subsample_ratio}")
+        if self.augment and self.kind != "cifar10":
+            raise ConfigError(f"augment applies to dataset kind cifar10 only, not {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,8 @@ class ModelSpec:
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.output_activation not in ("softmax", "identity"):
-            raise ConfigError(f"output_activation must be softmax or identity")
+            raise ConfigError(f"output_activation must be softmax or identity, "
+                              f"got {self.output_activation!r}")
 
 
 @dataclass(frozen=True)
@@ -87,45 +91,101 @@ class ExperimentConfig:
                               "pick one")
 
 
-_SECTION_KEYS = {
-    "dataset": {"kind", "train_images", "train_labels", "test_images", "test_labels",
-                "train_files", "test_files", "take", "subsample_ratio", "seed", "augment"},
-    "model": {"hidden", "output_activation"},
-    "optimizer": {"kind", "lr_high", "lr_low", "drop_at", "momentum", "weight_decay",
-                  "lr", "beta1", "beta2", "eps"},
-    "regularizer": {"mode", "schedule", "mu", "b", "alpha", "n_steps", "eps_std",
-                    "local_scale", "const_s", "label_smoothing"},
-    "run": {"epochs", "batch_size", "trials", "base_seed"},
-}
-
-_OPT_KEYS = {
-    "sgd": {"kind", "lr_high", "lr_low", "drop_at", "momentum", "weight_decay"},
-    "adam": {"kind", "lr", "beta1", "beta2", "eps"},
-    "adagrad": {"kind", "lr", "eps"},
-}
+OPTIMIZERS = {"sgd": SgdConfig, "adam": AdamConfig, "adagrad": AdaGradConfig}
+_OPTIMIZER = "optimizer"  # target: the OPTIMIZERS class that [optimizer] kind selects
 
 
-def _to_float(section, key, raw):
+def _text(raw, name, base_dir):
+    return raw.strip()
+
+
+def _path(raw, name, base_dir):
+    path = raw.strip()
+    if base_dir is None or not path or Path(path).is_absolute():
+        return path
+    return str(base_dir / path)
+
+
+def _paths(raw, name, base_dir):
+    return tuple(_path(p, name, base_dir) for p in raw.split(",") if p.strip())
+
+
+def _number(kind, noun):
+    def convert(raw, name, base_dir):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{name} = {raw!r} is not {noun}") from None
+    return convert
+
+
+_int = _number(int, "an integer")
+_float = _number(float, "a number")
+
+
+def _bool(raw, name, base_dir):
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+    if value is None:
+        raise ConfigError(f"{name} = {raw!r} is not a boolean")
+    return value
+
+
+def _widths(raw, name, base_dir):
     try:
-        return float(raw)
+        return tuple(int(h.strip()) for h in raw.split(",") if h.strip())
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
+        raise ConfigError(f"{name} = {raw!r} is not a width list") from None
 
 
-def _to_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
+# Every config key: (section, key) -> (target, converter). The key sets the
+# target's field of the same name, except where _FIELDS renames it. Omitted
+# keys take the target dataclass's default; a field without one is required.
+_KEYS = {
+    ("dataset", "kind"): (DatasetSpec, _text),
+    ("dataset", "train_images"): (DatasetSpec, _path),
+    ("dataset", "train_labels"): (DatasetSpec, _path),
+    ("dataset", "test_images"): (DatasetSpec, _path),
+    ("dataset", "test_labels"): (DatasetSpec, _path),
+    ("dataset", "train_files"): (DatasetSpec, _paths),
+    ("dataset", "test_files"): (DatasetSpec, _paths),
+    ("dataset", "take"): (DatasetSpec, _int),
+    ("dataset", "subsample_ratio"): (DatasetSpec, _float),
+    ("dataset", "seed"): (DatasetSpec, _int),
+    ("dataset", "augment"): (DatasetSpec, _bool),
+    ("model", "hidden"): (ModelSpec, _widths),
+    ("model", "output_activation"): (ModelSpec, _text),
+    ("optimizer", "kind"): (_OPTIMIZER, _text),
+    ("optimizer", "lr_high"): (_OPTIMIZER, _float),
+    ("optimizer", "lr_low"): (_OPTIMIZER, _float),
+    ("optimizer", "drop_at"): (_OPTIMIZER, _float),
+    ("optimizer", "momentum"): (_OPTIMIZER, _float),
+    ("optimizer", "weight_decay"): (_OPTIMIZER, _float),
+    ("optimizer", "lr"): (_OPTIMIZER, _float),
+    ("optimizer", "beta1"): (_OPTIMIZER, _float),
+    ("optimizer", "beta2"): (_OPTIMIZER, _float),
+    ("optimizer", "eps"): (_OPTIMIZER, _float),
+    ("regularizer", "mode"): (SmoothingConfig, _text),
+    ("regularizer", "alpha"): (SmoothingConfig, _float),
+    ("regularizer", "n_steps"): (SmoothingConfig, _int),
+    ("regularizer", "eps_std"): (SmoothingConfig, _float),
+    ("regularizer", "local_scale"): (SmoothingConfig, _float),
+    ("regularizer", "schedule"): (AnnealSchedule, _text),
+    ("regularizer", "mu"): (AnnealSchedule, _float),
+    ("regularizer", "b"): (AnnealSchedule, _float),
+    ("regularizer", "const_s"): (AnnealSchedule, _float),
+    ("regularizer", "label_smoothing"): (ExperimentConfig, _float),
+    ("run", "epochs"): (ExperimentConfig, _int),
+    ("run", "batch_size"): (ExperimentConfig, _int),
+    ("run", "trials"): (ExperimentConfig, _int),
+    ("run", "base_seed"): (ExperimentConfig, _int),
+}
+_FIELDS = {("regularizer", "schedule"): "kind"}
 
 
-def _to_bool(section, key, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
+def _required(target, name) -> bool:
+    """Whether a dataclass field has no default (never true of [optimizer] keys)."""
+    f = getattr(target, "__dataclass_fields__", {}).get(name)
+    return f is not None and f.default is MISSING and f.default_factory is MISSING
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -135,111 +195,44 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     except configparser.Error as exc:
         raise ConfigError(f"unparsable config: {exc}") from None
 
+    sections = {section for section, _ in _KEYS}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     for required in ("dataset", "model", "optimizer", "run"):
         if required not in parser:
             raise ConfigError(f"missing section [{required}]")
 
-    def resolve(p: str) -> str:
-        if base_dir is None or not p:
-            return p
-        return str((base_dir / p)) if not Path(p).is_absolute() else p
+    def values(target) -> dict:
+        """The converted values of the keys that set `target`'s fields."""
+        out = {}
+        for (section, key), (owner, convert) in _KEYS.items():
+            if owner is not target:
+                continue
+            name = _FIELDS.get((section, key), key)
+            if section in parser and key in parser[section]:
+                out[name] = convert(parser[section][key], f"[{section}] {key}", base_dir)
+            elif _required(target, name):
+                raise ConfigError(f"missing key {key!r} in [{section}]")
+        return out
 
-    ds = parser["dataset"]
-    if "kind" not in ds:
-        raise ConfigError("missing key 'kind' in [dataset]")
-    dataset = DatasetSpec(
-        kind=ds["kind"].strip(),
-        train_images=resolve(ds.get("train_images", "").strip()),
-        train_labels=resolve(ds.get("train_labels", "").strip()),
-        test_images=resolve(ds.get("test_images", "").strip()),
-        test_labels=resolve(ds.get("test_labels", "").strip()),
-        train_files=tuple(resolve(p.strip()) for p in ds.get("train_files", "").split(",") if p.strip()),
-        test_files=tuple(resolve(p.strip()) for p in ds.get("test_files", "").split(",") if p.strip()),
-        take=_to_int("dataset", "take", ds.get("take", "0")),
-        subsample_ratio=_to_float("dataset", "subsample_ratio", ds.get("subsample_ratio", "1.0")),
-        seed=_to_int("dataset", "seed", ds.get("seed", "0")),
-        augment=_to_bool("dataset", "augment", ds.get("augment", "false")),
-    )
-
-    md = parser["model"]
-    hidden_raw = md.get("hidden", "256")
-    try:
-        hidden = tuple(int(h.strip()) for h in hidden_raw.split(",") if h.strip())
-    except ValueError:
-        raise ConfigError(f"[model] hidden = {hidden_raw!r} is not a width list") from None
-    model = ModelSpec(hidden=hidden, output_activation=md.get("output_activation", "softmax").strip())
-
-    op = parser["optimizer"]
-    opt_kind = op.get("kind", "sgd").strip()
-    if opt_kind not in _OPT_KEYS:
+    dataset = DatasetSpec(**values(DatasetSpec))
+    model = ModelSpec(**values(ModelSpec))
+    opt = values(_OPTIMIZER)
+    opt_kind = opt.pop("kind", "sgd")
+    if opt_kind not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer kind {opt_kind!r}")
-    for key in op:
-        if key not in _OPT_KEYS[opt_kind]:
+    opt_fields = {f.name for f in fields(OPTIMIZERS[opt_kind])}
+    for key in opt:
+        if key not in opt_fields:
             raise ConfigError(f"key {key!r} does not apply to optimizer kind {opt_kind!r}")
-    if opt_kind == "sgd":
-        optimizer = SgdConfig(
-            lr_high=_to_float("optimizer", "lr_high", op.get("lr_high", "0.1")),
-            lr_low=_to_float("optimizer", "lr_low", op.get("lr_low", "0.001")),
-            drop_at=_to_float("optimizer", "drop_at", op.get("drop_at", "0.75")),
-            momentum=_to_float("optimizer", "momentum", op.get("momentum", "0.9")),
-            weight_decay=_to_float("optimizer", "weight_decay", op.get("weight_decay", "0.0")),
-        )
-    elif opt_kind == "adam":
-        optimizer = AdamConfig(
-            lr=_to_float("optimizer", "lr", op.get("lr", "0.001")),
-            beta1=_to_float("optimizer", "beta1", op.get("beta1", "0.9")),
-            beta2=_to_float("optimizer", "beta2", op.get("beta2", "0.999")),
-            eps=_to_float("optimizer", "eps", op.get("eps", "1e-8")),
-        )
-    else:
-        optimizer = AdaGradConfig(
-            lr=_to_float("optimizer", "lr", op.get("lr", "0.01")),
-            eps=_to_float("optimizer", "eps", op.get("eps", "1e-10")),
-        )
-
-    if "regularizer" in parser:
-        rg = parser["regularizer"]
-        smoothing = SmoothingConfig(
-            mode=rg.get("mode", "off").strip(),
-            alpha=_to_float("regularizer", "alpha", rg.get("alpha", "0.0")),
-            n_steps=_to_int("regularizer", "n_steps", rg.get("n_steps", "1")),
-            eps_std=_to_float("regularizer", "eps_std", rg.get("eps_std", "1e-8")),
-            local_scale=_to_float("regularizer", "local_scale", rg.get("local_scale", "1.0")),
-        )
-        schedule = AnnealSchedule(
-            kind=rg.get("schedule", "off").strip(),
-            mu=_to_float("regularizer", "mu", rg.get("mu", "0.75")),
-            b=_to_float("regularizer", "b", rg.get("b", "0.5")),
-            const_s=_to_float("regularizer", "const_s", rg.get("const_s", "1.0")),
-        )
-        label_smoothing = _to_float("regularizer", "label_smoothing",
-                                    rg.get("label_smoothing", "0.0"))
-    else:
-        smoothing = SmoothingConfig()
-        schedule = AnnealSchedule()
-        label_smoothing = 0.0
-
-    rn = parser["run"]
-    if "epochs" not in rn:
-        raise ConfigError("missing key 'epochs' in [run]")
-    return ExperimentConfig(
-        dataset=dataset,
-        model=model,
-        optimizer=optimizer,
-        epochs=_to_int("run", "epochs", rn["epochs"]),
-        smoothing=smoothing,
-        schedule=schedule,
-        label_smoothing=label_smoothing,
-        batch_size=_to_int("run", "batch_size", rn.get("batch_size", "128")),
-        trials=_to_int("run", "trials", rn.get("trials", "5")),
-        base_seed=_to_int("run", "base_seed", rn.get("base_seed", "0")),
-    )
+    return ExperimentConfig(dataset=dataset, model=model, optimizer=OPTIMIZERS[opt_kind](**opt),
+                            smoothing=SmoothingConfig(**values(SmoothingConfig)),
+                            schedule=AnnealSchedule(**values(AnnealSchedule)),
+                            **values(ExperimentConfig))
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -39,7 +39,8 @@ class Dataset:
     def __post_init__(self):
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ShapeError(f"{self.inputs.shape[0]} inputs vs {self.labels.shape[0]} labels")
-        if self.labels.size and int(self.labels.max()) >= self.class_count:
+        if self.labels.size and (int(self.labels.min()) < 0
+                                 or int(self.labels.max()) >= self.class_count):
             raise InputError("label out of range")
         if self.inputs.dtype.kind == "f" and not np.all(np.isfinite(self.inputs)):
             raise InputError(f"non-finite input in the {self.split} split")

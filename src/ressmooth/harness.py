@@ -135,7 +135,6 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair=None):
 
     sm = config.smoothing
     smoothing_on = sm.mode != "off"
-    augmenting = config.dataset.augment and config.dataset.kind == "cifar10"
     targets = np.eye(train_ds.class_count)[train_ds.labels]
     if config.label_smoothing > 0.0:
         targets = optim.label_smooth(targets, config.label_smoothing)
@@ -153,7 +152,7 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair=None):
         for batch_idx, idx in enumerate(data_mod.batches(train_ds, config.batch_size, shuffle_rng)):
             progress = t / total_iters
             xb = train_ds.inputs[idx]
-            if augmenting:
+            if config.dataset.augment:
                 xb = _augment_rows(xb, augment_rng)
             yb = targets[idx]
             cache = nn.forward_batch(network, xb)
@@ -287,10 +286,3 @@ def write_aggregate_csv(rows, path):
         lines.append(f"{r.b:.6f},{r.alpha:.6f},{r.trial},"
                      f"{r.max_val_acc:.6f},{r.tail_mean_val_acc:.6f}")
     _write_lines(path, lines)
-
-
-def read_csv(path):
-    """Header plus rows of strings; the inverse of the writers for checking."""
-    with open(path, "r", newline="") as f:
-        lines = f.read().splitlines()
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]

@@ -1,10 +1,10 @@
 """A small dense classifier with explicit forward caches and hand-derived
-backpropagation. No autodiff: `backward` consumes the loss gradient w.r.t.
-the network output and chains it through the layers.
+backpropagation. No autodiff: `backward_batch` consumes the loss gradient
+w.r.t. the network output and chains it through the layers.
 
-`forward`/`backward` are the per-sample reference path. `forward_batch`/
-`backward_batch` compute the same quantities for a whole mini-batch with
-matrix products; batch gradients are summed over the batch.
+`forward_batch`/`backward_batch` work on a whole [B, N] mini-batch with
+matrix products; batch gradients are summed over the batch. The per-sample
+reference passes they are tested against live in the tests (`oracles.py`).
 
 Checkpoint format (little-endian): magic b"RSM1", uint32 layer count, then
 per layer uint32 out_dim, uint32 in_dim, the row-major float64 weight buffer
@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, InputError, ShapeError
+from .errors import FormatError, ShapeError
 
 ACTIVATIONS = ("relu", "softmax", "identity")
 CHECKPOINT_MAGIC = b"RSM1"
@@ -87,7 +87,7 @@ def he_init(network: Network, rng: np.random.Generator) -> Network:
 
 
 class ForwardCache:
-    """Pre-activations and activations of one forward pass (batch or single)."""
+    """Pre-activations and activations of one forward pass."""
 
     def __init__(self, x, pre, post):
         self.x = x
@@ -99,38 +99,10 @@ class ForwardCache:
         return self.post[-1]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)  # stabilization, mandatory
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z, axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=1, keepdims=True)
-
-
-def forward(network: Network, x: np.ndarray) -> ForwardCache:
-    """Single-sample forward pass; caches every pre-activation and activation."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != network.input_dim:
-        raise ShapeError(f"expected input of length {network.input_dim}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("non-finite input")
-    pre, post = [], []
-    a = x
-    for layer, act in zip(network.layers, network.activations):
-        z = layer.weights @ a + layer.bias
-        if act == "relu":
-            a = np.maximum(z, 0.0)
-        elif act == "identity":
-            a = z
-        else:
-            a = _softmax(z)
-        pre.append(z)
-        post.append(a)
-    return ForwardCache(x, pre, post)
 
 
 class GradientSet:
@@ -148,36 +120,8 @@ class GradientSet:
                 raise ShapeError(f"gradient shape mismatch: {gw.shape} vs {layer.weights.shape}")
 
 
-def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> GradientSet:
-    """Chain the output-gradient back through the cached forward pass."""
-    dl_dout = np.asarray(dl_dout, dtype=np.float64)
-    if dl_dout.shape != (network.output_dim,):
-        raise ShapeError(f"expected output gradient of length {network.output_dim}")
-    k = len(network.layers)
-    grads_w = [None] * k
-    grads_b = [None] * k
-    delta = dl_dout
-    for i in reversed(range(k)):
-        z = cache.pre[i]
-        act = network.activations[i]
-        if act == "relu":
-            dz = delta * (z > 0.0)  # subgradient 0 at z == 0
-        elif act == "identity":
-            dz = delta
-        else:
-            p = cache.post[i]
-            jac = np.diag(p) - np.outer(p, p)  # full softmax Jacobian (symmetric)
-            dz = jac @ delta
-        a_in = cache.post[i - 1] if i > 0 else cache.x
-        grads_w[i] = np.outer(dz, a_in)
-        grads_b[i] = np.array(dz)
-        if i > 0:
-            delta = network.layers[i].weights.T @ dz
-    return GradientSet(grads_w, grads_b)
-
-
 def forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
-    """Forward pass for a [B, N] batch; same caching as `forward`.
+    """Forward pass for a [B, N] batch; caches every pre-activation and activation.
 
     Inputs are not checked for finiteness here: they come from a `Dataset`,
     which validates its float inputs once when it is built."""

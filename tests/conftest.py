@@ -179,3 +179,10 @@ def corpus(tmp_path_factory):
         "test_labels": str(root / (FASHION_FILES["test_labels"] + ".gz")),
         "source": "surrogate",
     }
+
+
+def read_csv(path):
+    """Header plus rows of strings; the inverse of the harness CSV writers."""
+    with open(path, "r", newline="") as f:
+        lines = f.read().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]

@@ -1,0 +1,176 @@
+"""Per-sample reference implementations the tests check the production batch
+path against.
+
+`forward`/`backward` run the network on one sample, with the full softmax
+Jacobian. The smoothing ops build the dense M x M smoothing matrix and apply
+it by matrix products, one residual vector at a time. Training never calls
+any of this: it goes through `nn.forward_batch`,
+`smoothing.batch_smoothed_loss_grad` and `nn.backward_batch`.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from ressmooth.errors import ConfigError, InputError, ShapeError
+from ressmooth.nn import ForwardCache, GradientSet, Network
+from ressmooth.smoothing import MODES, sigmoid_scale
+
+# --- network ---------------------------------------------------------------------
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - np.max(z)  # stabilization, mandatory
+    e = np.exp(shifted)
+    return e / np.sum(e)
+
+
+def forward(network: Network, x: np.ndarray) -> ForwardCache:
+    """Single-sample forward pass; caches every pre-activation and activation."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] != network.input_dim:
+        raise ShapeError(f"expected input of length {network.input_dim}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("non-finite input")
+    pre, post = [], []
+    a = x
+    for layer, act in zip(network.layers, network.activations):
+        z = layer.weights @ a + layer.bias
+        if act == "relu":
+            a = np.maximum(z, 0.0)
+        elif act == "identity":
+            a = z
+        else:
+            a = _softmax(z)
+        pre.append(z)
+        post.append(a)
+    return ForwardCache(x, pre, post)
+
+
+def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> GradientSet:
+    """Chain the output-gradient back through the cached forward pass."""
+    dl_dout = np.asarray(dl_dout, dtype=np.float64)
+    if dl_dout.shape != (network.output_dim,):
+        raise ShapeError(f"expected output gradient of length {network.output_dim}")
+    k = len(network.layers)
+    grads_w = [None] * k
+    grads_b = [None] * k
+    delta = dl_dout
+    for i in reversed(range(k)):
+        z = cache.pre[i]
+        act = network.activations[i]
+        if act == "relu":
+            dz = delta * (z > 0.0)  # subgradient 0 at z == 0
+        elif act == "identity":
+            dz = delta
+        else:
+            p = cache.post[i]
+            jac = np.diag(p) - np.outer(p, p)  # full softmax Jacobian (symmetric)
+            dz = jac @ delta
+        a_in = cache.post[i - 1] if i > 0 else cache.x
+        grads_w[i] = np.outer(dz, a_in)
+        grads_b[i] = np.array(dz)
+        if i > 0:
+            delta = network.layers[i].weights.T @ dz
+    return GradientSet(grads_w, grads_b)
+
+
+# --- residual smoothing ------------------------------------------------------------
+
+
+class NormalizedResidual(NamedTuple):
+    d_tilde: np.ndarray
+    mu: float
+    sigma: float  # population std before clamping
+
+
+def residual(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Elementwise magnitude of the prediction/target discrepancy."""
+    prediction = np.asarray(prediction, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if prediction.shape != target.shape:
+        raise ShapeError(f"shape mismatch: {prediction.shape} vs {target.shape}")
+    return np.abs(prediction - target)
+
+
+def normalize_residual(d: np.ndarray, eps_std: float = 1e-8) -> NormalizedResidual:
+    """Shift/scale to mean 0 and population std 1; std clamped below by eps_std."""
+    d = np.asarray(d, dtype=np.float64)
+    mu = float(np.mean(d))
+    centered = d - mu
+    sigma = float(np.sqrt(np.mean(centered * centered)))
+    return NormalizedResidual(centered / max(sigma, eps_std), mu, sigma)
+
+
+def diffusivity(values, s_t: float, alpha: float, mode: str,
+                local_scale: float = 1.0) -> np.ndarray:
+    """Per-element diffusivity in [0, 1).
+
+    `values` is the raw residual for mode "global" and the normalized residual
+    for "local"/"global_local"; it is ignored for "off".
+    """
+    if mode not in MODES:
+        raise ConfigError(f"unknown smoothing mode {mode!r}")
+    if not 0.0 <= s_t <= 1.0:
+        raise ConfigError(f"s_t must be in [0, 1], got {s_t}")
+    values = np.asarray(values, dtype=np.float64)
+    if mode == "off":
+        return np.zeros_like(values)
+    if mode == "global":
+        return sigmoid_scale(values, s_t, 0.0)
+    if mode == "local":
+        return sigmoid_scale(values, local_scale, alpha)
+    return sigmoid_scale(values, s_t, alpha)
+
+
+def smoothing_matrix(kappa: np.ndarray) -> np.ndarray:
+    """Row-stochastic interpolation matrix: row j has 1 - kappa_j on the
+    diagonal and kappa_j / (M - 1) everywhere else. M = 1 degenerates to the
+    identity (nothing to interpolate with)."""
+    kappa = np.asarray(kappa, dtype=np.float64)
+    if kappa.ndim != 1:
+        raise ShapeError(f"kappa must be 1-D, got shape {kappa.shape}")
+    if np.any(kappa < 0.0) or np.any(kappa >= 1.0):
+        raise InputError("kappa entries must lie in [0, 1)")
+    m = kappa.shape[0]
+    if m == 1:
+        return np.ones((1, 1))
+    w = np.repeat(kappa[:, None] / (m - 1.0), m, axis=1)
+    np.fill_diagonal(w, 1.0 - kappa)
+    return w
+
+
+def apply_smoothing(w: np.ndarray, d: np.ndarray, n_steps: int = 1) -> np.ndarray:
+    """n_steps successive applications of the smoothing matrix to the residual."""
+    if n_steps < 1:
+        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    d = np.asarray(d, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or d.ndim != 1 or w.shape[1] != d.shape[0]:
+        raise ShapeError(f"cannot apply {w.shape} matrix to {d.shape} vector")
+    u = d
+    for _ in range(n_steps):
+        u = w @ u
+    return u
+
+
+def smoothed_loss(d: np.ndarray, w: np.ndarray, n_steps: int = 1) -> float:
+    """Squared norm of the smoothed residual."""
+    u = apply_smoothing(w, d, n_steps)
+    return float(u @ u)
+
+
+def smoothed_loss_backward(prediction: np.ndarray, target: np.ndarray,
+                           w: np.ndarray, n_steps: int = 1) -> np.ndarray:
+    """Gradient of the smoothed squared loss w.r.t. the prediction, with the
+    smoothing matrix held constant: 2 (W^n)^T (W^n d) .* sign(prediction - target).
+    sign(0) is 0."""
+    prediction = np.asarray(prediction, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if prediction.shape != target.shape:
+        raise ShapeError(f"shape mismatch: {prediction.shape} vs {target.shape}")
+    r = prediction - target
+    u = apply_smoothing(w, np.abs(r), n_steps)
+    v = u
+    for _ in range(n_steps):
+        v = w.T @ v
+    return 2.0 * v * np.sign(r)

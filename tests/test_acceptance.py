@@ -13,16 +13,15 @@ import time
 import numpy as np
 import pytest
 
+from conftest import read_csv
+from oracles import smoothed_loss, smoothing_matrix
 from ressmooth.annealing import AnnealSchedule, laplace_pdf_scaled, logistic_pdf_scaled
 from ressmooth.cli import main as cli_main
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
-from ressmooth.harness import (prepare_data, read_csv, run_trials, train,
-                               write_metrics_csv)
-from ressmooth.nn import backward, build_network, forward, he_init, save_checkpoint
+from ressmooth.harness import prepare_data, run_trials, train, write_metrics_csv
+from ressmooth.nn import backward_batch, build_network, forward_batch, he_init, save_checkpoint
 from ressmooth.optim import AdaGradConfig, AdamConfig, SgdConfig
-from ressmooth.smoothing import (SmoothingConfig, diffusivity, normalize_residual,
-                                 residual, smoothed_loss, smoothed_loss_backward,
-                                 smoothing_matrix)
+from ressmooth.smoothing import SmoothingConfig, batch_smoothed_loss_grad
 
 
 def dataset_spec(corpus, take=10000, ratio=1.0, seed=101):
@@ -74,8 +73,13 @@ def test_criterion_1_zero_diffusion_equivalence(corpus, tmp_path):
 
 
 def test_criterion_2_gradient_oracle():
+    """The training path forward_batch -> batch_smoothed_loss_grad ->
+    backward_batch against central differences of sum_b ||W_b d_b||^2, with
+    each W_b the dense smoothing matrix of the kappa row the analytic call
+    returned, held constant."""
     started = time.perf_counter()
     rng = np.random.default_rng(20240903)
+    extra_rng = np.random.default_rng(20240905)  # rows 2-4 at B = 4, apart from the configs
     checked = 0
     for mode in ("global", "local", "global_local"):
         for _ in range(7):
@@ -84,41 +88,44 @@ def test_criterion_2_gradient_oracle():
             y = np.eye(10)[int(rng.integers(0, 10))]
             s_t = float(rng.uniform(0.3, 1.0))
             alpha = float(rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]))
+            cfg = SmoothingConfig(mode=mode, alpha=alpha)
+            xs = np.vstack([x, extra_rng.uniform(0.0, 1.0, size=(3, 20))])
+            ys = np.vstack([y, np.eye(10)[extra_rng.integers(0, 10, size=3)]])
 
-            pred = forward(net, x).prediction
-            d = residual(pred, y)
-            feed = d if mode == "global" else normalize_residual(d).d_tilde
-            w = smoothing_matrix(diffusivity(feed, s_t, alpha, mode))
+            for b in (1, 4):
+                xb, yb = xs[:b], ys[:b]
+                cache = forward_batch(net, xb)
+                _, grad, kappa = batch_smoothed_loss_grad(cache.prediction, yb, s_t, cfg)
+                analytic = backward_batch(net, cache, grad)
+                ws = [smoothing_matrix(k) for k in kappa]
 
-            cache = forward(net, x)
-            analytic = backward(net, cache, smoothed_loss_backward(pred, y, w))
+                def loss():
+                    d = np.abs(forward_batch(net, xb).prediction - yb)
+                    return sum(smoothed_loss(d_i, w) for d_i, w in zip(d, ws))
 
-            def loss():
-                p = forward(net, x).prediction
-                return smoothed_loss(np.abs(p - y), w)
-
-            h = 1e-6
-            for layer, gw, gb in zip(net.layers, analytic.weights, analytic.biases):
-                for arr, grad in ((layer.weights, gw), (layer.bias, gb)):
-                    flat = arr.reshape(-1)
-                    gflat = grad.reshape(-1)
-                    fd = np.empty_like(gflat)
-                    for j in range(flat.size):
-                        orig = flat[j]
-                        flat[j] = orig + h
-                        f_plus = loss()
-                        flat[j] = orig - h
-                        f_minus = loss()
-                        flat[j] = orig
-                        fd[j] = (f_plus - f_minus) / (2.0 * h)
-                    assert np.allclose(gflat, fd, rtol=1e-5, atol=1e-8), \
-                        f"gradient mismatch in mode {mode}"
+                h = 1e-6
+                for layer, gw, gb in zip(net.layers, analytic.weights, analytic.biases):
+                    for arr, grad_arr in ((layer.weights, gw), (layer.bias, gb)):
+                        flat = arr.reshape(-1)
+                        gflat = grad_arr.reshape(-1)
+                        fd = np.empty_like(gflat)
+                        for j in range(flat.size):
+                            orig = flat[j]
+                            flat[j] = orig + h
+                            f_plus = loss()
+                            flat[j] = orig - h
+                            f_minus = loss()
+                            flat[j] = orig
+                            fd[j] = (f_plus - f_minus) / (2.0 * h)
+                        assert np.allclose(gflat, fd, rtol=1e-5, atol=1e-8), \
+                            f"gradient mismatch in mode {mode} at B={b}"
             checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 21
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 2 gradient oracle: PASS "
-          f"({checked} random configs x 3 modes, h=1e-6, rel<=1e-5, {elapsed:.1f}s)")
+          f"({checked} random configs over 3 modes on the batch path at B=1 and B=4, "
+          f"h=1e-6, rel<=1e-5, {elapsed:.1f}s)")
 
 
 def test_criterion_3_smoothing_matrix_invariants():

@@ -1,6 +1,7 @@
 import pytest
 
-from ressmooth.config import parse_config, parse_config_text
+from ressmooth.config import (DatasetSpec, ExperimentConfig, ModelSpec, parse_config,
+                              parse_config_text)
 from ressmooth.errors import ConfigError
 from ressmooth.optim import AdaGradConfig, AdamConfig, SgdConfig
 
@@ -92,6 +93,8 @@ def test_bad_enum_values():
         parse_config_text(GOOD.replace("kind = fashion_mnist", "kind = imagenet", 1))
     with pytest.raises(ConfigError, match="smoothing mode"):
         parse_config_text(GOOD.replace("mode = global_local", "mode = everywhere"))
+    with pytest.raises(ConfigError, match="output_activation .*got 'tanh'"):
+        parse_config_text(GOOD.replace("output_activation = softmax", "output_activation = tanh"))
 
 
 def test_optimizer_kind_scopes_keys():
@@ -108,6 +111,40 @@ def test_adam_and_adagrad_configs():
     assert cfg.optimizer.lr == 0.002
     cfg = parse_config_text(base + "[optimizer]\nkind = adagrad\n" + tail)
     assert isinstance(cfg.optimizer, AdaGradConfig)
+
+
+MINIMAL = """
+[dataset]
+kind = fashion_mnist
+train_images = a
+train_labels = b
+test_images = c
+test_labels = d
+
+[model]
+
+[optimizer]
+kind = {kind}
+
+[run]
+epochs = 3
+"""
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+def test_omitted_keys_take_the_dataclass_defaults(kind):
+    optimizer = {"sgd": SgdConfig, "adam": AdamConfig, "adagrad": AdaGradConfig}[kind]()
+    spec = DatasetSpec(kind="fashion_mnist", train_images="a", train_labels="b",
+                       test_images="c", test_labels="d")
+    cfg = parse_config_text(MINIMAL.format(kind=kind))
+    # ExperimentConfig's own defaults include SmoothingConfig() and AnnealSchedule()
+    assert cfg == ExperimentConfig(dataset=spec, model=ModelSpec(), optimizer=optimizer,
+                                   epochs=3)
+
+
+def test_augment_needs_cifar10():
+    with pytest.raises(ConfigError, match="augment"):
+        parse_config_text(GOOD.replace("seed = 7", "seed = 7\naugment = true"))
 
 
 def test_label_smoothing_conflicts_with_smoothing_mode():

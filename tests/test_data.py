@@ -276,6 +276,8 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(4, np.int64), 10)
     with pytest.raises(InputError):
         Dataset(np.zeros((2, 2)), np.array([0, 10]), 10)
+    with pytest.raises(InputError, match="label out of range"):
+        Dataset(np.zeros((2, 2)), np.array([-1, 0]), 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import write_idx_pair
+from conftest import read_csv, write_idx_pair
 from ressmooth.annealing import AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.data import load_cifar10_bin, load_idx, subsample, take_uniform
 from ressmooth.errors import ConfigError, InputError, TrainingError
 from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, evaluate,
-                               grid_search, prepare_data, read_csv, run_trials, substream,
+                               grid_search, prepare_data, run_trials, substream,
                                summarize, train, write_aggregate_csv, write_metrics_csv)
 from ressmooth.nn import DenseLayer, Network, build_network
 from ressmooth.optim import SgdConfig

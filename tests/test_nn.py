@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ressmooth.errors import FormatError, InputError, ShapeError
-from ressmooth.nn import (DenseLayer, Network, backward, backward_batch, build_network,
-                          forward, forward_batch, he_init, load_checkpoint,
-                          load_parameters, save_checkpoint)
+from oracles import backward, forward
+from ressmooth.errors import FormatError, ShapeError
+from ressmooth.nn import (DenseLayer, Network, backward_batch, build_network, forward_batch,
+                          he_init, load_checkpoint, load_parameters, save_checkpoint)
 
 
 def random_net(dims, output_activation="softmax", seed=0):
@@ -29,30 +29,37 @@ def test_he_init_deterministic_per_seed():
         assert np.array_equal(la.weights, lb.weights)
 
 
-# --- forward -------------------------------------------------------------------
+# --- forward ---------------------------------------------------------------------
+# The training path runs batches; each property is checked on a 1-row and on
+# a multi-row batch.
 
 def test_forward_identity_layer():
     net = Network([DenseLayer(np.eye(3), np.zeros(3))], ["identity"])
-    x = np.array([0.5, -1.0, 2.0])
-    assert np.array_equal(forward(net, x).prediction, x)
+    xb = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]])
+    for rows in (1, 2):
+        assert np.array_equal(forward_batch(net, xb[:rows]).prediction, xb[:rows])
 
 
 def test_forward_relu():
     net = Network([DenseLayer(np.eye(2), np.zeros(2))], ["relu"])
-    assert forward(net, np.array([-1.0, 2.0])).prediction.tolist() == [0.0, 2.0]
+    xb = np.array([[-1.0, 2.0], [3.0, -4.0]])
+    assert forward_batch(net, xb[:1]).prediction.tolist() == [[0.0, 2.0]]
+    assert forward_batch(net, xb).prediction.tolist() == [[0.0, 2.0], [3.0, 0.0]]
 
 
 def test_forward_softmax_symmetry():
     net = Network([DenseLayer(np.eye(2), np.zeros(2))], ["softmax"])
-    assert forward(net, np.array([0.0, 0.0])).prediction.tolist() == [0.5, 0.5]
+    xb = np.array([[0.0, 0.0], [7.5, 7.5], [-3.0, -3.0]])
+    assert forward_batch(net, xb[:1]).prediction.tolist() == [[0.5, 0.5]]
+    assert forward_batch(net, xb).prediction.tolist() == [[0.5, 0.5]] * 3
 
 
 def test_softmax_normalization_and_range():
     rng = np.random.default_rng(2)
     net = random_net([6, 10])
-    for _ in range(10):
-        p = forward(net, rng.normal(size=6)).prediction
-        assert abs(p.sum() - 1.0) < 1e-12
+    for rows in (1, 10):
+        p = forward_batch(net, rng.normal(size=(rows, 6))).prediction
+        assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-12)
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
@@ -60,70 +67,81 @@ def test_softmax_shift_invariance():
     w = np.random.default_rng(3).normal(size=(5, 4))
     net_plain = Network([DenseLayer(w, np.zeros(5))], ["softmax"])
     net_shifted = Network([DenseLayer(w, np.full(5, 123.0))], ["softmax"])
-    x = np.array([0.1, -0.4, 0.9, 0.2])
-    a = forward(net_plain, x).prediction
-    b = forward(net_shifted, x).prediction
-    assert np.allclose(a, b, atol=1e-12)
+    xb = np.array([[0.1, -0.4, 0.9, 0.2], [2.0, 0.5, -1.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    for rows in (1, 3):
+        a = forward_batch(net_plain, xb[:rows]).prediction
+        b = forward_batch(net_shifted, xb[:rows]).prediction
+        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_forward_is_deterministic():
     net = random_net([8, 6, 4], seed=5)
-    x = np.random.default_rng(6).random(8)
-    assert np.array_equal(forward(net, x).prediction, forward(net, x).prediction)
+    xb = np.random.default_rng(6).random((5, 8))
+    for rows in (1, 5):
+        assert np.array_equal(forward_batch(net, xb[:rows]).prediction,
+                              forward_batch(net, xb[:rows]).prediction)
 
 
 def test_forward_input_validation():
     net = random_net([4, 2])
-    with pytest.raises(InputError):
-        forward(net, np.array([1.0, np.nan, 0.0, 0.0]))
     with pytest.raises(ShapeError):
-        forward(net, np.zeros(5))
+        forward_batch(net, np.zeros(4))  # one sample still needs its batch axis
+    with pytest.raises(ShapeError):
+        forward_batch(net, np.zeros((1, 5)))
+    with pytest.raises(ShapeError):
+        forward_batch(net, np.zeros((3, 5)))
 
 
 # --- backward ------------------------------------------------------------------
 
 def test_backward_zero_gradient():
     net = random_net([5, 3])
-    cache = forward(net, np.random.default_rng(8).random(5))
-    grads = backward(net, cache, np.zeros(3))
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights + grads.biases)
+    xb = np.random.default_rng(8).random((4, 5))
+    for rows in (1, 4):
+        grads = backward_batch(net, forward_batch(net, xb[:rows]), np.zeros((rows, 3)))
+        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights + grads.biases)
 
 
 def test_backward_linear_sum_loss():
-    # identity net, loss = sum(h): dL/dW = outer(1, x), dL/db = 1
+    # identity net, loss = sum over rows of sum(h): dL/dW = sum_b outer(1, x_b), dL/db = B
     net = Network([DenseLayer(np.eye(3), np.zeros(3))], ["identity"])
-    x = np.array([0.2, -0.6, 1.5])
-    grads = backward(net, forward(net, x), np.ones(3))
-    assert np.allclose(grads.weights[0], np.outer(np.ones(3), x), atol=1e-15)
-    assert grads.biases[0].tolist() == [1.0, 1.0, 1.0]
+    xb = np.array([[0.2, -0.6, 1.5], [1.0, 0.5, -2.0]])
+    for rows in (1, 2):
+        grads = backward_batch(net, forward_batch(net, xb[:rows]), np.ones((rows, 3)))
+        assert np.allclose(grads.weights[0], np.outer(np.ones(3), xb[:rows].sum(axis=0)),
+                           atol=1e-15)
+        assert grads.biases[0].tolist() == [float(rows)] * 3
 
 
 @pytest.mark.parametrize("output_activation", ["identity", "softmax"])
 def test_backward_matches_finite_differences(fd_grad, output_activation):
     rng = np.random.default_rng(9)
     net = random_net([7, 6, 4], output_activation=output_activation, seed=10)
-    x = rng.random(7)
-    direction = rng.normal(size=4)  # random linear functional of the output
+    for rows in (1, 3):
+        xb = rng.random((rows, 7))
+        directions = rng.normal(size=(rows, 4))  # a random linear functional of each output row
 
-    def loss():
-        return float(direction @ forward(net, x).prediction)
+        def loss():
+            return float(np.sum(directions * forward_batch(net, xb).prediction))
 
-    analytic = backward(net, forward(net, x), direction)
-    params = [p for layer in net.layers for p in (layer.weights, layer.bias)]
-    fd = fd_grad(loss, params)
-    got = [g for pair in zip(analytic.weights, analytic.biases) for g in pair]
-    for a, b in zip(got, fd):
-        assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
+        analytic = backward_batch(net, forward_batch(net, xb), directions)
+        params = [p for layer in net.layers for p in (layer.weights, layer.bias)]
+        fd = fd_grad(loss, params)
+        got = [g for pair in zip(analytic.weights, analytic.biases) for g in pair]
+        for a, b in zip(got, fd):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
 
 
 def test_backward_shape_validation():
     net = random_net([4, 2])
-    cache = forward(net, np.zeros(4))
+    cache = forward_batch(net, np.zeros((2, 4)))
     with pytest.raises(ShapeError):
-        backward(net, cache, np.zeros(3))
+        backward_batch(net, cache, np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        backward_batch(net, cache, np.zeros((1, 2)))
 
 
-# --- batch path ------------------------------------------------------------------
+# --- batch path vs the per-sample oracle --------------------------------------------
 
 def test_forward_batch_matches_per_sample():
     net = random_net([9, 7, 5], seed=11)

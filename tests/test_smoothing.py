@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (apply_smoothing, diffusivity, normalize_residual, residual,
+                     smoothed_loss, smoothed_loss_backward, smoothing_matrix)
 from ressmooth.errors import ConfigError, InputError, ShapeError
-from ressmooth.smoothing import (SmoothingConfig, apply_smoothing, batch_diffusivity,
-                                 batch_smoothed_loss_grad, diffusivity, normalize_residual,
-                                 residual, sigmoid_scale, smoothed_loss,
-                                 smoothed_loss_backward, smoothing_matrix)
+from ressmooth.smoothing import (SmoothingConfig, batch_diffusivity, batch_normalize,
+                                 batch_smoothed_loss_grad, sigmoid_scale)
 
 
-# --- residual -----------------------------------------------------------------
+# --- residual (the dense oracle's; the batch path takes |r| inline) ---------------
 
 def test_residual_zero_when_equal():
     p = np.array([0.3, 0.7])
@@ -40,12 +40,11 @@ def test_residual_shape_mismatch():
 # --- normalization ------------------------------------------------------------
 
 def test_normalize_constant_vector_is_zero():
-    got = normalize_residual(np.full(7, 0.5), eps_std=1e-8)
-    assert got.d_tilde.tolist() == [0.0] * 7
-    assert got.sigma == 0.0
+    got = batch_normalize(np.full((2, 7), 0.5), eps_std=1e-8)
+    assert got.tolist() == [[0.0] * 7] * 2
     # a constant whose mean is not exactly representable still lands near zero
-    got = normalize_residual(np.full(3, 0.1), eps_std=1e-8)
-    assert np.max(np.abs(got.d_tilde)) < 1e-6
+    got = batch_normalize(np.full((1, 3), 0.1), eps_std=1e-8)
+    assert np.max(np.abs(got)) < 1e-6
 
 
 def test_normalize_1_2_3():
@@ -53,29 +52,26 @@ def test_normalize_1_2_3():
     # independent arithmetic: (d - mean) / population std
     mean = (1.0 + 2.0 + 3.0) / 3.0
     pstd = math.sqrt(((1 - mean) ** 2 + (2 - mean) ** 2 + (3 - mean) ** 2) / 3.0)
-    got = normalize_residual(d)
-    assert np.allclose(got.d_tilde, (d - mean) / pstd, atol=1e-12)
-    assert np.allclose(got.d_tilde, [-1.2247, 0.0, 1.2247], atol=1e-4)
-    assert got.mu == pytest.approx(mean)
-    assert got.sigma == pytest.approx(pstd)
+    got = batch_normalize(np.vstack([d, 10.0 * d]), 1e-8)
+    for row in got:
+        assert np.allclose(row, (d - mean) / pstd, atol=1e-12)
+        assert np.allclose(row, [-1.2247, 0.0, 1.2247], atol=1e-4)
 
 
 def test_normalize_preserves_argmax():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        d = rng.random(10)
-        got = normalize_residual(d)
-        assert int(np.argmax(got.d_tilde)) == int(np.argmax(d))
+    d_rows = rng.random((20, 10))
+    got = batch_normalize(d_rows, 1e-8)
+    assert np.array_equal(np.argmax(got, axis=1), np.argmax(d_rows, axis=1))
+    assert np.argmax(batch_normalize(d_rows[:1], 1e-8)) == np.argmax(d_rows[0])
 
 
 def test_normalize_moments():
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        d = rng.random(12) * rng.uniform(0.1, 5.0)
-        got = normalize_residual(d)
-        assert abs(np.mean(got.d_tilde)) < 1e-10
-        if got.sigma > 1e-8:
-            assert abs(np.sqrt(np.mean(got.d_tilde ** 2)) - 1.0) < 1e-10
+    d_rows = rng.random((20, 12)) * rng.uniform(0.1, 5.0, size=(20, 1))
+    got = batch_normalize(d_rows, 1e-8)
+    assert np.all(np.abs(got.mean(axis=1)) < 1e-10)
+    assert np.all(np.abs(np.sqrt(np.mean(got ** 2, axis=1)) - 1.0) < 1e-10)
 
 
 # --- sigmoid ------------------------------------------------------------------
@@ -130,31 +126,40 @@ def test_sigmoid_bitwise_matches_two_branch_formula():
 # --- diffusivity --------------------------------------------------------------
 
 def test_diffusivity_off_is_zero():
-    assert diffusivity(np.ones(4), 0.9, 2.0, "off").tolist() == [0.0] * 4
+    cfg = SmoothingConfig(mode="off", alpha=2.0)
+    assert batch_diffusivity(np.ones((2, 4)), 0.9, cfg).tolist() == [[0.0] * 4] * 2
 
 
 def test_diffusivity_global_is_uniform_half_scale():
-    got = diffusivity(np.array([0.1, 0.9, 0.4]), 0.6, 7.0, "global")
-    assert got.tolist() == [0.3, 0.3, 0.3]
+    cfg = SmoothingConfig(mode="global", alpha=7.0)
+    got = batch_diffusivity(np.array([[0.1, 0.9, 0.4], [0.0, 2.0, 0.5]]), 0.6, cfg)
+    assert got.tolist() == [[0.3, 0.3, 0.3]] * 2
 
 
 def test_diffusivity_global_local_monotone():
-    d_tilde = np.linspace(-2.0, 2.0, 41)
-    got = diffusivity(d_tilde, 0.8, 1.5, "global_local")
-    assert np.all(np.diff(got) > 0.0)
+    cfg = SmoothingConfig(mode="global_local", alpha=1.5)
+    d_rows = np.vstack([np.linspace(0.0, 2.0, 41), np.linspace(0.5, 0.9, 41)])
+    got = batch_diffusivity(d_rows, 0.8, cfg)
+    assert np.all(np.diff(got, axis=1) > 0.0)
 
 
 def test_diffusivity_local_uses_fixed_scale():
-    d_tilde = np.array([0.0])
-    assert diffusivity(d_tilde, 0.0, 1.0, "local", local_scale=0.8)[0] == 0.4
+    # the middle residual normalizes to exactly 0, where the sigmoid is half its scale
+    cfg = SmoothingConfig(mode="local", alpha=1.0, local_scale=0.8)
+    got = batch_diffusivity(np.array([[0.0, 0.5, 1.0]]), 0.0, cfg)
+    assert got[0, 1] == 0.4
 
 
 def test_diffusivity_validation():
     with pytest.raises(ConfigError):
-        diffusivity(np.zeros(2), 0.5, 1.0, "sideways")
+        SmoothingConfig(mode="sideways")
     with pytest.raises(ConfigError):
-        diffusivity(np.zeros(2), 1.5, 1.0, "global")
+        batch_diffusivity(np.zeros((1, 2)), 1.5, SmoothingConfig(mode="global"))
 
+
+# --- the dense oracle: smoothing matrix, its application, loss and gradient -----
+# Production never builds these; they are the reference the batch path is
+# compared against below, so their own invariants are pinned here.
 
 # --- smoothing matrix ---------------------------------------------------------
 
