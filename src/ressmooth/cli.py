@@ -1,5 +1,6 @@
 """Command-line entry point: `train`, `grid` and `eval` subcommands driven by
-an INI experiment file. Exit code 0 on success, 2 on config/format errors.
+an INI experiment file. Exit code 0 on success, 2 on config/format errors,
+including a checkpoint that does not fit the configured network.
 """
 
 import argparse
@@ -9,7 +10,7 @@ from pathlib import Path
 
 from . import harness, nn
 from .config import parse_config
-from .errors import ConfigError, FormatError, InputError, TrainingError
+from .errors import ConfigError, FormatError, InputError, ShapeError, TrainingError
 
 DEFAULT_B_GRID = "0.1,0.3,0.5,0.7,0.9"
 DEFAULT_ALPHA_GRID = "0.25,0.5,1,2,4"
@@ -25,8 +26,7 @@ def _parse_grid(raw: str, name: str):
     return values
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="experiment config file")
+def _add_run_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="override base_seed")
     sub.add_argument("--out-dir", default=".", help="directory for emitted files")
     sub.add_argument("--trials", type=int, default=None, help="override trial count")
@@ -37,13 +37,14 @@ def build_parser():
                                      description="residual-smoothing experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
     train_p = sub.add_parser("train", help="run the configured trials")
-    _add_common(train_p)
     grid_p = sub.add_parser("grid", help="grid search over (b, alpha)")
-    _add_common(grid_p)
+    eval_p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
+    for command in (train_p, grid_p, eval_p):
+        command.add_argument("--config", required=True, help="experiment config file")
+    _add_run_flags(train_p)
+    _add_run_flags(grid_p)
     grid_p.add_argument("--b-grid", default=DEFAULT_B_GRID)
     grid_p.add_argument("--alpha-grid", default=DEFAULT_ALPHA_GRID)
-    eval_p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    _add_common(eval_p)
     eval_p.add_argument("--checkpoint", required=True)
     return parser
 
@@ -89,7 +90,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config)
     _, test_ds = harness.prepare_data(config)
     dims = [test_ds.feature_count, *config.model.hidden, test_ds.class_count]
     template = nn.build_network(dims, output_activation=config.model.output_activation)
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
         if args.command == "grid":
             return _cmd_grid(args)
         return _cmd_eval(args)
-    except (ConfigError, FormatError, InputError, TrainingError, OSError) as exc:
+    except (ConfigError, FormatError, InputError, ShapeError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,12 @@ from pathlib import Path
 
 from .annealing import AnnealSchedule
 from .errors import ConfigError
-from .optim import AdaGradConfig, AdamConfig, SgdConfig
+from .optim import OPTIMIZERS
 from .smoothing import SmoothingConfig
 
-DATASET_KINDS = ("fashion_mnist", "cifar10")
+# dataset kind -> the file keys it needs; the other kind's keys are an error
+DATASET_FILES = {"fashion_mnist": ("train_images", "train_labels", "test_images", "test_labels"),
+                 "cifar10": ("train_files", "test_files")}
 
 
 @dataclass(frozen=True)
@@ -33,20 +35,21 @@ class DatasetSpec:
     augment: bool = False
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
+        if self.kind not in DATASET_FILES:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.kind == "fashion_mnist":
-            missing = [k for k in ("train_images", "train_labels", "test_images", "test_labels")
-                       if not getattr(self, k)]
-            if missing:
-                raise ConfigError(f"dataset kind fashion_mnist needs {', '.join(missing)}")
-        else:
-            if not self.train_files or not self.test_files:
-                raise ConfigError("dataset kind cifar10 needs train_files and test_files")
+        missing = [k for k in DATASET_FILES[self.kind] if not getattr(self, k)]
+        if missing:
+            raise ConfigError(f"dataset kind {self.kind} needs {', '.join(missing)}")
+        stray = [k for kind, keys in DATASET_FILES.items() if kind != self.kind
+                 for k in keys if getattr(self, k)]
+        if stray:
+            raise ConfigError(f"key {stray[0]!r} does not apply to dataset kind {self.kind!r}")
         if self.take < 0:
             raise ConfigError(f"take must be >= 0, got {self.take}")
         if not 0.0 < self.subsample_ratio <= 1.0:
             raise ConfigError(f"subsample_ratio must be in (0, 1], got {self.subsample_ratio}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.augment and self.kind != "cifar10":
             raise ConfigError(f"augment applies to dataset kind cifar10 only, not {self.kind}")
 
@@ -68,7 +71,7 @@ class ModelSpec:
 class ExperimentConfig:
     dataset: DatasetSpec
     model: ModelSpec
-    optimizer: object  # SgdConfig | AdamConfig | AdaGradConfig
+    optimizer: object  # a config class of optim.OPTIMIZERS
     epochs: int
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
     schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
@@ -84,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.label_smoothing > 0.0 and self.smoothing.mode != "off":
@@ -91,8 +96,7 @@ class ExperimentConfig:
                               "pick one")
 
 
-OPTIMIZERS = {"sgd": SgdConfig, "adam": AdamConfig, "adagrad": AdaGradConfig}
-_OPTIMIZER = "optimizer"  # target: the OPTIMIZERS class that [optimizer] kind selects
+_OPTIMIZER = "optimizer"  # target: the optim.OPTIMIZERS config class [optimizer] kind selects
 
 
 def _text(raw, name, base_dir):
@@ -225,11 +229,12 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     opt_kind = opt.pop("kind", "sgd")
     if opt_kind not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer kind {opt_kind!r}")
-    opt_fields = {f.name for f in fields(OPTIMIZERS[opt_kind])}
+    opt_class = OPTIMIZERS[opt_kind][0]
+    opt_fields = {f.name for f in fields(opt_class)}
     for key in opt:
         if key not in opt_fields:
             raise ConfigError(f"key {key!r} does not apply to optimizer kind {opt_kind!r}")
-    return ExperimentConfig(dataset=dataset, model=model, optimizer=OPTIMIZERS[opt_kind](**opt),
+    return ExperimentConfig(dataset=dataset, model=model, optimizer=opt_class(**opt),
                             smoothing=SmoothingConfig(**values(SmoothingConfig)),
                             schedule=AnnealSchedule(**values(AnnealSchedule)),
                             **values(ExperimentConfig))

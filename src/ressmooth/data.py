@@ -10,7 +10,9 @@ one label byte then 1024 R + 1024 G + 1024 B plane bytes.
 The loaders return the raw uint8 pixel codes (the IDX one a view of the
 decoded bytes), so subsetting indexes one byte per pixel. `scale_pixels`
 turns the kept rows into float64 features in [0, 1] by /255; no further
-normalization.
+normalization. `augment_batch` pads, crops and mirrors a whole batch of
+CIFAR rows; the per-image reference it is tested against lives in the tests
+(`oracles.py`).
 """
 
 import gzip
@@ -152,28 +154,22 @@ def batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def pad_crop_flip(image: np.ndarray, offset_y: int, offset_x: int, flip: bool) -> np.ndarray:
-    """Deterministic core of the augmentation: zero-pad 4 px per side, crop a
-    32x32 window at the given offset, optionally mirror horizontally.
+def augment_batch(xb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random 32x32 crop of each zero-padded (4 px per side) CIFAR row, plus a
+    fair-coin horizontal mirror.
 
-    Images are channel-planes-first (3, 32, 32), matching the binary layout.
-    Offsets (4, 4) without flip reproduce the input exactly."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != (3, 32, 32):
-        raise ShapeError(f"expected (3, 32, 32) image, got {image.shape}")
-    if not (0 <= offset_y <= 8 and 0 <= offset_x <= 8):
-        raise InputError(f"crop offsets must be in [0, 8], got ({offset_y}, {offset_x})")
-    padded = np.zeros((3, 40, 40))
-    padded[:, 4:36, 4:36] = image
-    crop = padded[:, offset_y:offset_y + 32, offset_x:offset_x + 32]
-    if flip:
-        crop = crop[:, :, ::-1]
-    return np.ascontiguousarray(crop)
-
-
-def augment_pad_crop_flip(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random crop of the zero-padded image plus a fair-coin horizontal flip."""
-    offset_y = int(rng.integers(0, 9))
-    offset_x = int(rng.integers(0, 9))
-    flip = bool(rng.random() < 0.5)
-    return pad_crop_flip(image, offset_y, offset_x, flip)
+    Rows are [B, 3072] channel-planes-first, as in the binary layout. Each row
+    draws its y offset, x offset and flip, in that order; offsets (4, 4)
+    without flip reproduce the row exactly."""
+    if xb.ndim != 2 or xb.shape[1] != 3 * 32 * 32:
+        raise ShapeError(f"expected [B, 3072] CIFAR rows, got {xb.shape}")
+    b = xb.shape[0]
+    padded = np.zeros((b, 3, 40, 40), xb.dtype)
+    padded[:, :, 4:36, 4:36] = xb.reshape(b, 3, 32, 32)
+    out = np.empty((b, 3, 32, 32), xb.dtype)
+    for i in range(b):
+        offset_y = int(rng.integers(0, 9))
+        offset_x = int(rng.integers(0, 9))
+        crop = padded[i, :, offset_y:offset_y + 32, offset_x:offset_x + 32]
+        out[i] = crop[:, :, ::-1] if rng.random() < 0.5 else crop
+    return out.reshape(b, -1)

@@ -1,5 +1,9 @@
-"""Experiment runner: the training loop with optional residual smoothing,
-evaluation, multi-trial aggregation, grid search and CSV emission.
+"""Experiment runner: the training loop, evaluation, multi-trial
+aggregation, grid search and CSV emission.
+
+Every mode trains through the one smoothed loss: mode off gives kappa = 0,
+which is plain squared error bitwise. CIFAR rows are augmented a batch at a
+time by `data.augment_batch`.
 
 Everything an experiment emits is a pure function of (config, seed). Each
 trial uses seed base_seed + k, and initialization, shuffling and augmentation
@@ -21,6 +25,7 @@ from .errors import ConfigError, InputError, TrainingError
 METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,s_t,mean_kappa"
 AGGREGATE_HEADER = "b,alpha,trial,max_val_acc,tail_mean_val_acc"
 
+_EVAL_CHUNK = 4096
 _STREAMS = {"init": 0, "shuffle": 1, "augment": 2, "take": 3, "ratio": 4}
 
 
@@ -99,14 +104,6 @@ def _require_features(dataset: data_mod.Dataset):
                          "not float features; scale it with data.scale_pixels")
 
 
-def _augment_rows(xb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(xb)
-    for i in range(xb.shape[0]):
-        img = xb[i].reshape(3, 32, 32)
-        out[i] = data_mod.augment_pad_crop_flip(img, rng).reshape(-1)
-    return out
-
-
 def _diagnose_nonfinite(network: nn.Network, epoch: int, batch_idx: int, iteration: int) -> str:
     bad = [i for i, layer in enumerate(network.layers)
            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias)))]
@@ -115,10 +112,9 @@ def _diagnose_nonfinite(network: nn.Network, epoch: int, batch_idx: int, iterati
             f"(epoch {epoch}, batch {batch_idx}); {where}")
 
 
-def train(config: ExperimentConfig, trial_seed: int, dataset_pair=None):
-    """One full training run; returns (network, per-epoch metrics)."""
-    if dataset_pair is None:
-        dataset_pair = prepare_data(config)
+def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
+    """One full training run on a prepared (train, test) pair; returns
+    (network, per-epoch metrics)."""
     train_ds, test_ds = dataset_pair
     if train_ds.n == 0:
         raise InputError("empty training split")
@@ -134,7 +130,6 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair=None):
     augment_rng = substream(trial_seed, "augment")
 
     sm = config.smoothing
-    smoothing_on = sm.mode != "off"
     targets = np.eye(train_ds.class_count)[train_ds.labels]
     if config.label_smoothing > 0.0:
         targets = optim.label_smooth(targets, config.label_smoothing)
@@ -153,19 +148,13 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair=None):
             progress = t / total_iters
             xb = train_ds.inputs[idx]
             if config.dataset.augment:
-                xb = _augment_rows(xb, augment_rng)
+                xb = data_mod.augment_batch(xb, augment_rng)
             yb = targets[idx]
             cache = nn.forward_batch(network, xb)
             preds = cache.prediction
-            if smoothing_on:
-                s_t = scale_at(config.schedule, progress)
-                loss_rows, grad_rows, kappa = smoothing.batch_smoothed_loss_grad(preds, yb, s_t, sm)
-                kappa_sum += float(kappa.mean(axis=1).sum())
-            else:
-                s_t = 0.0
-                r = preds - yb
-                loss_rows = np.einsum("bj,bj->b", r, r)
-                grad_rows = 2.0 * r
+            s_t = scale_at(config.schedule, progress) if sm.mode != "off" else 0.0
+            loss_rows, grad_rows, kappa = smoothing.batch_smoothed_loss_grad(preds, yb, s_t, sm)
+            kappa_sum += float(kappa.mean(axis=1).sum())
             batch_loss = float(loss_rows.sum())
             if not math.isfinite(batch_loss):
                 raise TrainingError(_diagnose_nonfinite(network, epoch, batch_idx, t))
@@ -191,7 +180,7 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair=None):
     return network, metrics
 
 
-def evaluate(network: nn.Network, dataset: data_mod.Dataset, chunk: int = 4096):
+def evaluate(network: nn.Network, dataset: data_mod.Dataset):
     """(accuracy percent, mean plain squared-error loss) on a dataset.
 
     The predicted class is the first index attaining the output maximum."""
@@ -201,9 +190,9 @@ def evaluate(network: nn.Network, dataset: data_mod.Dataset, chunk: int = 4096):
     eye = np.eye(dataset.class_count)
     correct = 0
     loss_sum = 0.0
-    for start in range(0, dataset.n, chunk):
-        xb = dataset.inputs[start:start + chunk]
-        lb = dataset.labels[start:start + chunk]
+    for start in range(0, dataset.n, _EVAL_CHUNK):
+        xb = dataset.inputs[start:start + _EVAL_CHUNK]
+        lb = dataset.labels[start:start + _EVAL_CHUNK]
         preds = nn.forward_batch(network, xb).prediction
         correct += int((np.argmax(preds, axis=1) == lb).sum())
         r = preds - eye[lb]

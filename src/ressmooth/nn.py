@@ -65,14 +65,14 @@ class Network:
         return self.layers[-1].out_dim
 
 
-def build_network(dims, hidden_activation="relu", output_activation="softmax") -> Network:
-    """Zero-initialized network with the given layer widths."""
+def build_network(dims, output_activation="softmax") -> Network:
+    """Zero-initialized network with the given layer widths; hidden layers are relu."""
     if len(dims) < 2:
         raise ShapeError("need at least input and output dims")
     layers, acts = [], []
     for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
         layers.append(DenseLayer(np.zeros((n_out, n_in)), np.zeros(n_out)))
-        acts.append(output_activation if i == len(dims) - 2 else hidden_activation)
+        acts.append(output_activation if i == len(dims) - 2 else "relu")
     return Network(layers, acts)
 
 
@@ -111,13 +111,6 @@ class GradientSet:
     def __init__(self, weights, biases):
         self.weights = list(weights)
         self.biases = list(biases)
-
-    def check_aligned(self, network: Network):
-        if len(self.weights) != len(network.layers):
-            raise ShapeError("gradient/layer count mismatch")
-        for layer, gw, gb in zip(network.layers, self.weights, self.biases):
-            if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
-                raise ShapeError(f"gradient shape mismatch: {gw.shape} vs {layer.weights.shape}")
 
 
 def forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:

@@ -72,7 +72,6 @@ class Sgd:
         self.vel_b = [np.zeros_like(l.bias) for l in network.layers]
 
     def step(self, network: Network, grads: GradientSet, progress: float):
-        grads.check_aligned(network)
         cfg = self.config
         lr = lr_at(cfg, progress)
         for i, layer in enumerate(network.layers):
@@ -92,7 +91,6 @@ class Adam:
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, network: Network, grads: GradientSet, progress: float = 0.0):
-        grads.check_aligned(network)
         cfg = self.config
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
@@ -109,7 +107,6 @@ class AdaGrad:
         self.acc = [np.zeros_like(p) for p in _flat_params(network)]
 
     def step(self, network: Network, grads: GradientSet, progress: float = 0.0):
-        grads.check_aligned(network)
         cfg = self.config
         for i, (param, g) in enumerate(zip(_flat_params(network), _flat_grads(grads))):
             self.acc[i] += g * g
@@ -132,13 +129,17 @@ def _flat_grads(grads: GradientSet):
     return out
 
 
+# The optimizer set, written once: [optimizer] kind -> (config class, update
+# rule). `config.parse_config_text` and `make_optimizer` both read it.
+OPTIMIZERS = {"sgd": (SgdConfig, Sgd), "adam": (AdamConfig, Adam),
+              "adagrad": (AdaGradConfig, AdaGrad)}
+
+
 def make_optimizer(config, network: Network):
-    if isinstance(config, SgdConfig):
-        return Sgd(network, config)
-    if isinstance(config, AdamConfig):
-        return Adam(network, config)
-    if isinstance(config, AdaGradConfig):
-        return AdaGrad(network, config)
+    """The update rule that OPTIMIZERS pairs with this config's class."""
+    for config_class, rule in OPTIMIZERS.values():
+        if isinstance(config, config_class):
+            return rule(network, config)
     raise ConfigError(f"unknown optimizer config {type(config).__name__}")
 
 

@@ -8,7 +8,7 @@ backpropagation: gradients flow through the residual inside the smoothed
 norm, never through the diffusivity that shaped the matrix.
 
 Modes:
-  off          no diffusion; callers should take the plain squared-error path
+  off          kappa = 0 through the same operator: plain squared error
   global       kappa = sigmoid(raw residual; s_t, alpha=0), i.e. uniform s_t/2
   local        kappa = sigmoid(normalized residual; local_scale, alpha)
   global_local kappa = sigmoid(normalized residual; s_t, alpha)

@@ -3,9 +3,10 @@ path against.
 
 `forward`/`backward` run the network on one sample, with the full softmax
 Jacobian. The smoothing ops build the dense M x M smoothing matrix and apply
-it by matrix products, one residual vector at a time. Training never calls
-any of this: it goes through `nn.forward_batch`,
-`smoothing.batch_smoothed_loss_grad` and `nn.backward_batch`.
+it by matrix products, one residual vector at a time. `pad_crop_flip`
+augments one CIFAR image at given offsets. Training never calls any of this:
+it goes through `nn.forward_batch`, `smoothing.batch_smoothed_loss_grad`,
+`nn.backward_batch` and `data.augment_batch`.
 """
 
 from typing import NamedTuple
@@ -174,3 +175,25 @@ def smoothed_loss_backward(prediction: np.ndarray, target: np.ndarray,
     for _ in range(n_steps):
         v = w.T @ v
     return 2.0 * v * np.sign(r)
+
+
+# --- augmentation ------------------------------------------------------------------
+
+
+def pad_crop_flip(image: np.ndarray, offset_y: int, offset_x: int, flip: bool) -> np.ndarray:
+    """Deterministic core of the augmentation: zero-pad 4 px per side, crop a
+    32x32 window at the given offset, optionally mirror horizontally.
+
+    Images are channel-planes-first (3, 32, 32), matching the binary layout.
+    Offsets (4, 4) without flip reproduce the input exactly."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.shape != (3, 32, 32):
+        raise ShapeError(f"expected (3, 32, 32) image, got {image.shape}")
+    if not (0 <= offset_y <= 8 and 0 <= offset_x <= 8):
+        raise InputError(f"crop offsets must be in [0, 8], got ({offset_y}, {offset_x})")
+    padded = np.zeros((3, 40, 40))
+    padded[:, 4:36, 4:36] = image
+    crop = padded[:, offset_y:offset_y + 32, offset_x:offset_x + 32]
+    if flip:
+        crop = crop[:, :, ::-1]
+    return np.ascontiguousarray(crop)

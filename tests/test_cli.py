@@ -83,6 +83,31 @@ def test_eval_subcommand(tiny_corpus, tmp_path, capsys):
     assert "val acc:" in capsys.readouterr().out
 
 
+def test_eval_of_a_mismatched_checkpoint_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out), "--trials", "1"])
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("hidden = 8", "hidden = 5"))
+    code = main(["eval", "--config", str(tiny_corpus),
+                 "--checkpoint", str(out / "checkpoint_trial0.rsm")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eval_takes_only_config_and_checkpoint(tiny_corpus, tmp_path):
+    for flag in (["--out-dir", str(tmp_path)], ["--seed", "1"], ["--trials", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", str(tiny_corpus), "--checkpoint", "x.rsm", *flag])
+        assert exc.value.code == 2  # argparse's usage error
+
+
+def test_negative_seed_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    code = main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "out"),
+                 "--seed", "-1"])
+    assert code == 2
+    assert "error: base_seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_subcommand(tiny_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),

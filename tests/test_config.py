@@ -3,7 +3,7 @@ import pytest
 from ressmooth.config import (DatasetSpec, ExperimentConfig, ModelSpec, parse_config,
                               parse_config_text)
 from ressmooth.errors import ConfigError
-from ressmooth.optim import AdaGradConfig, AdamConfig, SgdConfig
+from ressmooth.optim import OPTIMIZERS, AdaGradConfig, AdamConfig, SgdConfig
 
 GOOD = """
 [dataset]
@@ -131,9 +131,9 @@ epochs = 3
 """
 
 
-@pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad"])
+@pytest.mark.parametrize("kind", list(OPTIMIZERS))
 def test_omitted_keys_take_the_dataclass_defaults(kind):
-    optimizer = {"sgd": SgdConfig, "adam": AdamConfig, "adagrad": AdaGradConfig}[kind]()
+    optimizer = OPTIMIZERS[kind][0]()  # so every kind parses to its table class
     spec = DatasetSpec(kind="fashion_mnist", train_images="a", train_labels="b",
                        test_images="c", test_labels="d")
     cfg = parse_config_text(MINIMAL.format(kind=kind))
@@ -145,6 +145,35 @@ def test_omitted_keys_take_the_dataclass_defaults(kind):
 def test_augment_needs_cifar10():
     with pytest.raises(ConfigError, match="augment"):
         parse_config_text(GOOD.replace("seed = 7", "seed = 7\naugment = true"))
+
+
+CIFAR_DATASET = """
+[dataset]
+kind = cifar10
+train_files = a.bin, b.bin
+test_files = t.bin
+"""
+
+
+@pytest.mark.parametrize("dataset, stray", [
+    (GOOD[:GOOD.index("[model]")] + "train_files = x.bin\n", "train_files"),
+    (GOOD[:GOOD.index("[model]")] + "test_files = x.bin\n", "test_files"),
+    (CIFAR_DATASET + "train_images = x.gz\n", "train_images"),
+    (CIFAR_DATASET + "test_labels = x.gz\n", "test_labels"),
+])
+def test_other_dataset_kinds_file_keys_are_rejected(dataset, stray):
+    text = dataset + GOOD[GOOD.index("[model]"):]
+    with pytest.raises(ConfigError, match=f"'{stray}' does not apply to dataset kind"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("seed = 7", "seed = -5", "seed"),
+    ("base_seed = 3", "base_seed = -1", "base_seed"),
+])
+def test_negative_seeds_are_rejected(old, new, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 0"):
+        parse_config_text(GOOD.replace(old, new))
 
 
 def test_label_smoothing_conflicts_with_smoothing_mode():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
-from ressmooth.data import (Dataset, augment_pad_crop_flip, batches, load_cifar10_bin,
-                            load_idx, pad_crop_flip, subsample, take_uniform)
+from oracles import pad_crop_flip
+from ressmooth.data import (Dataset, augment_batch, batches, load_cifar10_bin, load_idx,
+                            subsample, take_uniform)
 from ressmooth.errors import ConfigError, FormatError, InputError, ShapeError
 
 
@@ -243,32 +244,61 @@ def test_batches_validation():
 
 # --- augmentation ------------------------------------------------------------------
 
+class ScriptedRng:
+    """Stands in for the generator: every offset draw returns `offset`, every
+    coin draw returns `coin` (a flip when below 0.5)."""
+
+    def __init__(self, offset, coin):
+        self.offset, self.coin = offset, coin
+
+    def integers(self, low, high):
+        return self.offset
+
+    def random(self):
+        return self.coin
+
+
 def test_pad_crop_center_is_identity():
-    img = np.random.default_rng(25).random((3, 32, 32))
-    assert np.array_equal(pad_crop_flip(img, 4, 4, flip=False), img)
+    rows = np.random.default_rng(25).random((5, 3072))
+    assert np.array_equal(augment_batch(rows, ScriptedRng(4, coin=0.9)), rows)
 
 
 def test_flip_twice_is_identity():
-    img = np.random.default_rng(26).random((3, 32, 32))
-    once = pad_crop_flip(img, 4, 4, flip=True)
-    twice = pad_crop_flip(once, 4, 4, flip=True)
-    assert np.array_equal(twice, img)
+    rows = np.random.default_rng(26).random((5, 3072))
+    once = augment_batch(rows, ScriptedRng(4, coin=0.0))
+    assert not np.array_equal(once, rows)
+    assert np.array_equal(augment_batch(once, ScriptedRng(4, coin=0.0)), rows)
 
 
 def test_augment_values_come_from_input_or_padding():
     rng = np.random.default_rng(27)
-    img = rng.random((3, 32, 32))
-    allowed = set(img.ravel().tolist()) | {0.0}
+    rows = rng.random((4, 3072))
     for _ in range(10):
-        out = augment_pad_crop_flip(img, rng)
-        assert set(out.ravel().tolist()) <= allowed
+        out = augment_batch(rows, rng)
+        for row, augmented in zip(rows, out):
+            assert set(augmented.tolist()) <= set(row.tolist()) | {0.0}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_augment_batch_matches_per_image_oracle(seed):
+    rows = np.random.default_rng(100 + seed).random((17, 3072))
+    rng = np.random.default_rng(seed)
+    got = augment_batch(rows, rng)
+    replay = np.random.default_rng(seed)  # the draws per row: integers, integers, random
+    for row, augmented in zip(rows, got):
+        offset_y = int(replay.integers(0, 9))
+        offset_x = int(replay.integers(0, 9))
+        flip = bool(replay.random() < 0.5)
+        want = pad_crop_flip(row.reshape(3, 32, 32), offset_y, offset_x, flip).reshape(-1)
+        assert np.array_equal(augmented, want)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_augment_shape_validation():
     with pytest.raises(ShapeError):
-        pad_crop_flip(np.zeros((32, 32, 3)), 4, 4, False)
-    with pytest.raises(InputError):
-        pad_crop_flip(np.zeros((3, 32, 32)), 9, 0, False)
+        augment_batch(np.zeros((2, 3071)), np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        augment_batch(np.zeros((2, 3, 32, 32)), np.random.default_rng(0))
 
 
 def test_dataset_validation():

@@ -234,6 +234,21 @@ def test_mean_kappa_bounded_by_scale(make_blobs, mode):
         assert m.mean_kappa <= m.s_t + 1e-12
 
 
+def test_local_mode_trains_with_kappa_under_its_fixed_scale(make_blobs):
+    pair = blob_pair(make_blobs)
+    cfg = blob_config(epochs=6, mode="local", alpha=1.0)
+    cfg = dataclasses.replace(cfg, smoothing=dataclasses.replace(cfg.smoothing, local_scale=0.3,
+                                                                 n_steps=2))
+    net_a, metrics_a = train(cfg, 4, pair)
+    net_b, metrics_b = train(cfg, 4, pair)
+    assert any(m.mean_kappa > 0.0 for m in metrics_a)
+    assert all(m.mean_kappa <= 0.3 for m in metrics_a)
+    assert metrics_a == metrics_b
+    for layer_a, layer_b in zip(net_a.layers, net_b.layers):
+        assert np.array_equal(layer_a.weights, layer_b.weights)
+        assert np.array_equal(layer_a.bias, layer_b.bias)
+
+
 def test_label_smoothing_trains(make_blobs):
     pair = blob_pair(make_blobs)
     _, metrics = train(blob_config(epochs=10, label_smoothing=0.1), 0, pair)
