@@ -91,7 +91,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = parse_config(args.config)
-    _, test_ds = harness.prepare_data(config)
+    test_ds = harness.load_split(config.dataset, "test")
     dims = [test_ds.feature_count, *config.model.hidden, test_ds.class_count]
     template = nn.build_network(dims, output_activation=config.model.output_activation)
     network = nn.load_parameters(template, nn.load_checkpoint(args.checkpoint))

@@ -7,16 +7,19 @@ IDX files (MNIST family), big-endian:
 Gzip-wrapped IDX files are accepted. CIFAR-10 binary: 3073-byte records,
 one label byte then 1024 R + 1024 G + 1024 B plane bytes.
 
-The loaders return the raw uint8 pixel codes (the IDX one a view of the
-decoded bytes), so subsetting indexes one byte per pixel. `scale_pixels`
-turns the kept rows into float64 features in [0, 1] by /255; no further
-normalization. `augment_batch` pads, crops and mirrors a whole batch of
-CIFAR rows; the per-image reference it is tested against lives in the tests
-(`oracles.py`).
+A gzip file is inflated a piece at a time into one buffer sized from its
+ISIZE trailer. The loaders return the raw uint8 pixel codes (the IDX one a
+read-only view of the decoded bytes), and the codes stay codes through
+subsetting, batching and augmentation: `features` turns one batch or one
+evaluation chunk at a time into float64 features in [0, 1] by /255, with no
+further normalization. `augment_batch` pads, crops and mirrors a whole batch
+of CIFAR rows; the per-image reference it is tested against lives in the
+tests (`oracles.py`).
 """
 
 import gzip
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -29,11 +32,15 @@ from .errors import ConfigError, FormatError, InputError, ShapeError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
+_GZIP_PIECE = 1 << 20  # bytes read, and at most bytes inflated, per step
+# deflate expands at most 1032:1, so a larger ISIZE trailer is forged
+_MAX_DEFLATE_RATIO = 1032
 
 
 @dataclass
 class Dataset:
-    inputs: np.ndarray  # [n, N] uint8 pixel codes, or float features checked finite here
+    inputs: np.ndarray  # [n, N] uint8 pixel codes, scaled per batch by `features`,
+    #                     or float features, checked finite here
     labels: np.ndarray  # [n] int64
     class_count: int
     split: str = "train"
@@ -44,6 +51,9 @@ class Dataset:
         if self.labels.size and (int(self.labels.min()) < 0
                                  or int(self.labels.max()) >= self.class_count):
             raise InputError("label out of range")
+        if self.inputs.dtype != np.uint8 and self.inputs.dtype.kind != "f":
+            raise InputError(f"{self.split} split holds {self.inputs.dtype} inputs, "
+                             "neither uint8 pixel codes nor float features")
         if self.inputs.dtype.kind == "f" and not np.all(np.isfinite(self.inputs)):
             raise InputError(f"non-finite input in the {self.split} split")
 
@@ -56,14 +66,61 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def _read_maybe_gzip(path) -> bytes:
-    raw = Path(path).read_bytes()
-    if raw[:2] != b"\x1f\x8b":
-        return raw
+def _read_maybe_gzip(path):
+    """The file's bytes, gunzipped when it starts with the gzip magic.
+
+    A one-member stream is inflated into one buffer and returned as a read-only
+    view. Every stream that path does not take to a verified end (damaged,
+    multi-member, trailing bytes) goes to `gzip.decompress`, so the result, or
+    the cause of the `FormatError`, is always the reference decoder's."""
+    with open(path, "rb") as f:
+        if f.read(2) != b"\x1f\x8b":
+            f.seek(0)
+            return f.read()
+        decoded = _inflate_one_member(f)
+    if decoded is not None:
+        return memoryview(decoded).toreadonly()
     try:
-        return gzip.decompress(raw)
+        return gzip.decompress(Path(path).read_bytes())
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
+
+
+def _inflate_one_member(f):
+    """Inflate a gzip file holding one member into a uint8 array of its ISIZE
+    (the decoded size mod 2**32), or None when the stream does not end
+    cleanly at exactly that size and at the end of the file."""
+    compressed = os.fstat(f.fileno()).st_size
+    if compressed < 18:  # shorter than a gzip header and trailer
+        return None
+    f.seek(-4, os.SEEK_END)
+    size = int.from_bytes(f.read(4), "little")
+    if size > _MAX_DEFLATE_RATIO * compressed:
+        return None
+    try:
+        out = np.empty(size, np.uint8)  # untouched pages cost no memory
+    except MemoryError:
+        return None
+    view = memoryview(out)
+    f.seek(0)
+    inflater = zlib.decompressobj(31)
+    pos, pending, drained = 0, b"", False
+    while not inflater.eof:
+        if not pending and not drained:
+            pending = f.read(_GZIP_PIECE)
+            drained = not pending
+        try:
+            chunk = inflater.decompress(pending, _GZIP_PIECE)
+        except zlib.error:
+            return None
+        pending = inflater.unconsumed_tail
+        if (not chunk and (drained or pending)) or pos + len(chunk) > size:
+            return None
+        view[pos:pos + len(chunk)] = chunk
+        pos += len(chunk)
+    if pos != size or inflater.unused_data or f.read(1):
+        return None
+    return out
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
@@ -120,9 +177,10 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
     return Dataset(inputs, labels, 10, split)
 
 
-def scale_pixels(dataset: Dataset) -> Dataset:
-    """uint8 pixel codes to float64 features in [0, 1] by /255."""
-    return replace(dataset, inputs=dataset.inputs / 255.0)
+def features(rows: np.ndarray) -> np.ndarray:
+    """Model inputs for a block of rows: uint8 pixel codes become float64 in
+    [0, 1] by /255, float features pass through unchanged."""
+    return rows / 255.0 if rows.dtype == np.uint8 else rows
 
 
 def take_uniform(dataset: Dataset, count: int, rng: np.random.Generator) -> Dataset:

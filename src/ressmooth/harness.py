@@ -2,8 +2,10 @@
 aggregation, grid search and CSV emission.
 
 Every mode trains through the one smoothed loss: mode off gives kappa = 0,
-which is plain squared error bitwise. CIFAR rows are augmented a batch at a
-time by `data.augment_batch`.
+which is plain squared error bitwise. Prepared splits hold the uint8 pixel
+codes; each training batch (after `data.augment_batch` for CIFAR rows) and
+each evaluation chunk becomes float64 features through `data.features`, so
+no whole split is ever held as float64.
 
 Everything an experiment emits is a pure function of (config, seed). Each
 trial uses seed base_seed + k, and initialization, shuffling and augmentation
@@ -19,13 +21,13 @@ import numpy as np
 from . import data as data_mod
 from . import nn, optim, smoothing
 from .annealing import scale_at
-from .config import ExperimentConfig
+from .config import DatasetSpec, ExperimentConfig
 from .errors import ConfigError, InputError, TrainingError
 
 METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,s_t,mean_kappa"
 AGGREGATE_HEADER = "b,alpha,trial,max_val_acc,tail_mean_val_acc"
 
-_EVAL_CHUNK = 4096
+_EVAL_CHUNK = 1024  # rows; a chunk of scaled features stays in cache
 _STREAMS = {"init": 0, "shuffle": 1, "augment": 2, "take": 3, "ratio": 4}
 
 
@@ -81,27 +83,25 @@ class GridResult:
     best: GridPoint
 
 
-def prepare_data(config: ExperimentConfig):
-    """Load train/test splits, apply the configured subsetting to the pixel
-    codes, then scale only the kept rows to float64 features."""
-    ds = config.dataset
+def load_split(ds: DatasetSpec, split: str) -> data_mod.Dataset:
+    """The configured dataset's "train" or "test" split as uint8 codes."""
     if ds.kind == "fashion_mnist":
-        train = data_mod.load_idx(ds.train_images, ds.train_labels, split="train")
-        test = data_mod.load_idx(ds.test_images, ds.test_labels, split="test")
-    else:
-        train = data_mod.load_cifar10_bin(ds.train_files, split="train")
-        test = data_mod.load_cifar10_bin(ds.test_files, split="test")
+        if split == "train":
+            return data_mod.load_idx(ds.train_images, ds.train_labels, split)
+        return data_mod.load_idx(ds.test_images, ds.test_labels, split)
+    return data_mod.load_cifar10_bin(ds.train_files if split == "train" else ds.test_files, split)
+
+
+def prepare_data(config: ExperimentConfig):
+    """Load the train/test splits as uint8 codes and apply the configured
+    subsetting to the train split."""
+    ds = config.dataset
+    train = load_split(ds, "train")
     if ds.take > 0:
         train = data_mod.take_uniform(train, ds.take, substream(ds.seed, "take"))
     if ds.subsample_ratio < 1.0:
         train = data_mod.subsample(train, ds.subsample_ratio, substream(ds.seed, "ratio"))
-    return data_mod.scale_pixels(train), data_mod.scale_pixels(test)
-
-
-def _require_features(dataset: data_mod.Dataset):
-    if dataset.inputs.dtype.kind != "f":
-        raise InputError(f"{dataset.split} split holds {dataset.inputs.dtype} codes, "
-                         "not float features; scale it with data.scale_pixels")
+    return train, load_split(ds, "test")
 
 
 def _diagnose_nonfinite(network: nn.Network, epoch: int, batch_idx: int, iteration: int) -> str:
@@ -118,8 +118,6 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
     train_ds, test_ds = dataset_pair
     if train_ds.n == 0:
         raise InputError("empty training split")
-    _require_features(train_ds)
-    _require_features(test_ds)
 
     dims = [train_ds.feature_count, *config.model.hidden, train_ds.class_count]
     network = nn.he_init(
@@ -130,9 +128,9 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
     augment_rng = substream(trial_seed, "augment")
 
     sm = config.smoothing
-    targets = np.eye(train_ds.class_count)[train_ds.labels]
+    table = np.eye(train_ds.class_count)  # row k: the target of class k
     if config.label_smoothing > 0.0:
-        targets = optim.label_smooth(targets, config.label_smoothing)
+        table = optim.label_smooth(table, config.label_smoothing)
 
     n = train_ds.n
     iters_per_epoch = math.ceil(n / config.batch_size)
@@ -149,8 +147,9 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             xb = train_ds.inputs[idx]
             if config.dataset.augment:
                 xb = data_mod.augment_batch(xb, augment_rng)
-            yb = targets[idx]
-            cache = nn.forward_batch(network, xb)
+            lb = train_ds.labels[idx]
+            yb = table[lb]
+            cache = nn.forward_batch(network, data_mod.features(xb))
             preds = cache.prediction
             s_t = scale_at(config.schedule, progress) if sm.mode != "off" else 0.0
             loss_rows, grad_rows, kappa = smoothing.batch_smoothed_loss_grad(preds, yb, s_t, sm)
@@ -159,7 +158,7 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             if not math.isfinite(batch_loss):
                 raise TrainingError(_diagnose_nonfinite(network, epoch, batch_idx, t))
             loss_sum += batch_loss
-            correct += int((np.argmax(preds, axis=1) == train_ds.labels[idx]).sum())
+            correct += int((np.argmax(preds, axis=1) == lb).sum())
             grads = nn.backward_batch(network, cache, grad_rows / idx.size)
             optimizer.step(network, grads, progress)
             t += 1
@@ -186,12 +185,11 @@ def evaluate(network: nn.Network, dataset: data_mod.Dataset):
     The predicted class is the first index attaining the output maximum."""
     if dataset.n == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    _require_features(dataset)
     eye = np.eye(dataset.class_count)
     correct = 0
     loss_sum = 0.0
     for start in range(0, dataset.n, _EVAL_CHUNK):
-        xb = dataset.inputs[start:start + _EVAL_CHUNK]
+        xb = data_mod.features(dataset.inputs[start:start + _EVAL_CHUNK])
         lb = dataset.labels[start:start + _EVAL_CHUNK]
         preds = nn.forward_batch(network, xb).prediction
         correct += int((np.argmax(preds, axis=1) == lb).sum())

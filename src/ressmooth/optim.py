@@ -72,14 +72,21 @@ class Sgd:
         self.vel_b = [np.zeros_like(l.bias) for l in network.layers]
 
     def step(self, network: Network, grads: GradientSet, progress: float):
+        # in place, in the operation order of w -= lr * (m * v + (g + wd * w))
         cfg = self.config
         lr = lr_at(cfg, progress)
         for i, layer in enumerate(network.layers):
-            gw = grads.weights[i] + cfg.weight_decay * layer.weights
-            self.vel_w[i] = cfg.momentum * self.vel_w[i] + gw
-            layer.weights -= lr * self.vel_w[i]
-            self.vel_b[i] = cfg.momentum * self.vel_b[i] + grads.biases[i]
-            layer.bias -= lr * self.vel_b[i]
+            v = self.vel_w[i]
+            tmp = cfg.weight_decay * layer.weights
+            tmp += grads.weights[i]
+            v *= cfg.momentum
+            v += tmp
+            np.multiply(lr, v, out=tmp)
+            layer.weights -= tmp
+            v = self.vel_b[i]
+            v *= cfg.momentum
+            v += grads.biases[i]
+            layer.bias -= lr * v
 
 
 class Adam:

@@ -83,6 +83,21 @@ def test_eval_subcommand(tiny_corpus, tmp_path, capsys):
     assert "val acc:" in capsys.readouterr().out
 
 
+def test_eval_reads_only_the_test_split(tiny_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out), "--trials", "1"])
+    argv = ["eval", "--config", str(tiny_corpus),
+            "--checkpoint", str(out / "checkpoint_trial0.rsm")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    (tmp_path / "ti.gz").unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+    last_val_acc = (out / "metrics_trial0.csv").read_text().splitlines()[-1].split(",")[3]
+    assert f"val acc: {last_val_acc}" in before
+
+
 def test_eval_of_a_mismatched_checkpoint_exits_nonzero(tiny_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     main(["train", "--config", str(tiny_corpus), "--out-dir", str(out), "--trials", "1"])

@@ -1,14 +1,18 @@
 import gzip
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_idx_pair
 from oracles import pad_crop_flip
-from ressmooth.data import (Dataset, augment_batch, batches, load_cifar10_bin, load_idx,
-                            subsample, take_uniform)
+from ressmooth import data
+from ressmooth.data import (Dataset, augment_batch, batches, features, load_cifar10_bin,
+                            load_idx, subsample, take_uniform)
 from ressmooth.errors import ConfigError, FormatError, InputError, ShapeError
 
 
@@ -50,6 +54,7 @@ def test_load_idx_accepts_raw_and_gzip(tmp_path):
     b = load_idx(tmp_path / "i", tmp_path / "l")
     assert np.array_equal(a.inputs, b.inputs)
     assert np.array_equal(a.labels, b.labels)
+    assert not a.inputs.flags.writeable and not b.inputs.flags.writeable
 
 
 def test_load_idx_bad_magic_reports_offset(tmp_path):
@@ -162,6 +167,73 @@ def test_damaged_gzip_is_a_format_error(tmp_path, damage, cause):
     with pytest.raises(FormatError, match="c.bin.gz") as cifar_err:
         load_cifar10_bin([tmp_path / "c.bin.gz"])
     assert isinstance(cifar_err.value.__cause__, cause)
+
+
+# --- streaming gunzip -----------------------------------------------------------------
+
+def _payloads():
+    # repeated pieces compress well, so one input piece can inflate past the
+    # output cap and leave an unconsumed tail
+    piece = st.tuples(st.binary(max_size=300), st.integers(1, 40)).map(lambda p: p[0] * p[1])
+    return st.lists(piece, min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def gz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("gunzip") / "f.gz"
+
+
+def _streamed(path, blob, piece, reference=True):
+    """_read_maybe_gzip of `blob` inflated `piece` bytes at a time; with
+    reference=False, falling back to gzip.decompress fails the test."""
+    path.write_bytes(blob)
+    fallback = gzip.decompress if reference else mock.Mock(side_effect=AssertionError("fell back"))
+    with mock.patch.object(data, "_GZIP_PIECE", piece), \
+            mock.patch.object(data.gzip, "decompress", fallback):
+        return bytes(data._read_maybe_gzip(path))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(members=_payloads(), level=st.integers(0, 9), piece=st.sampled_from([1, 7, 512, 1 << 20]))
+def test_streaming_gunzip_matches_gzip_decompress(gz_path, members, level, piece):
+    """One member or several: the decoded bytes are gzip.decompress's, and a
+    single member is decoded without it."""
+    blob = b"".join(gzip.compress(m, compresslevel=level, mtime=0) for m in members)
+    assert _streamed(gz_path, blob, piece, reference=len(members) > 1) == gzip.decompress(blob)
+
+
+def _damage(draw, blob):
+    kind = draw(st.sampled_from(["truncate", "flip", "append", "isize"]))
+    if kind == "truncate":
+        return blob[:draw(st.integers(2, len(blob) - 1))]
+    if kind == "flip":
+        at = draw(st.integers(2, len(blob) - 1))
+        return blob[:at] + bytes([blob[at] ^ (1 << draw(st.integers(0, 7)))]) + blob[at + 1:]
+    if kind == "append":
+        return blob + draw(st.binary(min_size=1, max_size=40))
+    return blob[:-4] + draw(st.integers(0, 2**32 - 1)).to_bytes(4, "little")
+
+
+@st.composite
+def _damaged_streams(draw):
+    members = draw(_payloads())
+    blob = b"".join(gzip.compress(m, compresslevel=6, mtime=0) for m in members)
+    return _damage(draw, blob)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blob=_damaged_streams(), piece=st.sampled_from([7, 1 << 20]))
+def test_damaged_gzip_decodes_like_gzip_decompress_or_is_a_format_error(gz_path, blob, piece):
+    """Truncation, bit flips, appended junk, forged ISIZE: the result is
+    gzip.decompress's, or a FormatError caused by the error it raises."""
+    try:
+        want = gzip.decompress(blob)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        with pytest.raises(FormatError, match="f.gz") as err:
+            _streamed(gz_path, blob, piece)
+        assert type(err.value.__cause__) is type(exc)
+    else:
+        assert _streamed(gz_path, blob, piece) == want
 
 
 # --- subsetting --------------------------------------------------------------------
@@ -308,6 +380,19 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 10]), 10)
     with pytest.raises(InputError, match="label out of range"):
         Dataset(np.zeros((2, 2)), np.array([-1, 0]), 2)
+    for dtype in (np.int8, np.uint16, np.int64, np.bool_, np.complex128):
+        with pytest.raises(InputError, match="neither uint8 pixel codes nor float features"):
+            Dataset(np.zeros((2, 2), dtype), np.zeros(2, np.int64), 10)
+
+
+def test_features_scale_codes_and_pass_floats_through():
+    codes = np.arange(256, dtype=np.uint8).reshape(4, 64)
+    scaled = features(codes)
+    assert scaled.dtype == np.float64
+    assert scaled.tobytes() == (codes.astype(np.float64) / 255.0).tobytes()
+    assert scaled[0, 0] == 0.0 and scaled[-1, -1] == 1.0
+    floats = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
+    assert features(floats) is floats
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,7 +7,7 @@ import pytest
 from conftest import read_csv, write_idx_pair
 from ressmooth.annealing import AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
-from ressmooth.data import load_cifar10_bin, load_idx, subsample, take_uniform
+from ressmooth.data import features, load_cifar10_bin, load_idx, subsample, take_uniform
 from ressmooth.errors import ConfigError, InputError, TrainingError
 from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, evaluate,
                                grid_search, prepare_data, run_trials, substream,
@@ -45,16 +45,19 @@ def blob_pair(make_blobs, seed=0):
 
 # --- data preparation ------------------------------------------------------------
 
-def _old_prepare_data(spec, train_codes, test_codes):
-    """The former path: every row scaled to float64 at load, then subset."""
-    def scale(ds):
-        return dataclasses.replace(ds, inputs=ds.inputs.astype(np.float64) / 255.0)
-    train_ds, test_ds = scale(train_codes), scale(test_codes)
+def _subset(spec, train_ds):
     if spec.take > 0:
         train_ds = take_uniform(train_ds, spec.take, substream(spec.seed, "take"))
     if spec.subsample_ratio < 1.0:
         train_ds = subsample(train_ds, spec.subsample_ratio, substream(spec.seed, "ratio"))
-    return train_ds, test_ds
+    return train_ds
+
+
+def _old_prepare_data(spec, train_codes, test_codes):
+    """The first path: every row scaled to float64 at load, then subset."""
+    def scale(ds):
+        return dataclasses.replace(ds, inputs=ds.inputs.astype(np.float64) / 255.0)
+    return _subset(spec, scale(train_codes)), scale(test_codes)
 
 
 def _idx_spec(tmp_path, n_train=300, n_test=40, shape=(7, 9), **subset):
@@ -95,18 +98,24 @@ def test_prepare_data_matches_scale_then_subset_oracle(tmp_path, make_spec, subs
     else:
         codes = (load_idx(spec.train_images, spec.train_labels),
                  load_idx(spec.test_images, spec.test_labels, "test"))
-    for got, want in zip(prepare_data(cfg), _old_prepare_data(spec, *codes)):
-        assert got.inputs.dtype == np.float64
-        assert got.inputs.shape == want.inputs.shape
-        assert got.inputs.tobytes() == want.inputs.tobytes()
+    kept_codes = (_subset(spec, codes[0]), codes[1])
+    for got, kept, want in zip(prepare_data(cfg), kept_codes, _old_prepare_data(spec, *codes)):
+        assert got.inputs.dtype == np.uint8
+        assert got.inputs.shape == kept.inputs.shape
+        assert got.inputs.tobytes() == kept.inputs.tobytes()
+        scaled = features(got.inputs)
+        assert scaled.dtype == np.float64
+        assert scaled.shape == want.inputs.shape
+        assert scaled.tobytes() == want.inputs.tobytes()
         assert np.array_equal(got.labels, want.labels)
         assert got.split == want.split
 
 
 def test_prepare_data_scales_only_the_kept_rows(tmp_path):
     """A regression guard on the data path's memory: the traced peak of
-    preparing a 500-row subset stays below one full train split in float64,
-    so converting every row before subsetting fails it."""
+    preparing a 500-row subset stays below three times the decoded train
+    image bytes, so scaling the full split to float64 (8 bytes a pixel) or
+    gunzipping through `gzip.decompress` (about 3x the decoded size) fails it."""
     spec = _idx_spec(tmp_path, n_train=6000, n_test=500, shape=(28, 28), take=500)
     cfg = dataclasses.replace(blob_config(), dataset=spec)
     tracemalloc.start()
@@ -116,7 +125,7 @@ def test_prepare_data_scales_only_the_kept_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert train_ds.n == 500
-    assert peak < 6000 * 784 * 8, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 3 * (16 + 6000 * 784), f"traced peak {peak / 2**20:.1f} MiB"
 
 
 # --- training loop -------------------------------------------------------------
@@ -293,18 +302,45 @@ def test_train_rejects_empty_split(make_blobs):
         train(blob_config(), 0, (empty, blob_pair(make_blobs)[1]))
 
 
-def test_train_and_evaluate_reject_pixel_codes(make_blobs):
+def _same_network(net_a, net_b):
+    return all(a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+               for a, b in zip(net_a.layers, net_b.layers))
+
+
+def test_training_on_codes_equals_training_on_scaled_features(make_blobs):
+    """A pair of uint8 codes, scaled a batch at a time, trains and evaluates
+    bitwise like the same pair scaled up front; with augmentation too, since
+    zero codes pad to the same 0.0 features."""
     def to_codes(ds):
         codes = np.clip(ds.inputs * 40 + 128, 0, 255).astype(np.uint8)
         return dataclasses.replace(ds, inputs=codes)
 
-    train_ds, test_ds = blob_pair(make_blobs)
-    with pytest.raises(InputError, match="train split holds uint8 codes"):
-        train(blob_config(epochs=1), 0, (to_codes(train_ds), test_ds))
-    with pytest.raises(InputError, match="test split holds uint8 codes"):
-        train(blob_config(epochs=1), 0, (train_ds, to_codes(test_ds)))
-    with pytest.raises(InputError, match="test split holds uint8 codes"):
-        evaluate(build_network([4, 2]), to_codes(test_ds))
+    def scaled(ds):
+        return dataclasses.replace(ds, inputs=ds.inputs / 255.0)
+
+    codes_pair = tuple(to_codes(ds) for ds in blob_pair(make_blobs))
+    features_pair = tuple(scaled(ds) for ds in codes_pair)
+    cfg = blob_config(epochs=3, mode="global_local", schedule_kind="laplace", alpha=1.0)
+    net_codes, metrics_codes = train(cfg, 0, codes_pair)
+    net_features, metrics_features = train(cfg, 0, features_pair)
+    assert metrics_codes == metrics_features
+    assert _same_network(net_codes, net_features)
+    assert evaluate(net_codes, codes_pair[1]) == evaluate(net_codes, features_pair[1])
+
+    from ressmooth.data import Dataset
+    rng = np.random.default_rng(36)
+    labels = (np.arange(40) % 2).astype(np.int64)
+    codes = rng.integers(0, 256, size=(40, 3072)).astype(np.uint8)
+    codes_pair = (Dataset(codes, labels, 2, "train"), Dataset(codes[:12], labels[:12], 2, "test"))
+    features_pair = tuple(scaled(ds) for ds in codes_pair)
+    spec = dataclasses.replace(BLOB_DATASET, kind="cifar10", augment=True, train_images="",
+                               train_labels="", test_images="", test_labels="",
+                               train_files=("unused",), test_files=("unused",))
+    cfg = dataclasses.replace(blob_config(epochs=2), dataset=spec)
+    net_codes, metrics_codes = train(cfg, 0, codes_pair)
+    net_features, metrics_features = train(cfg, 0, features_pair)
+    assert metrics_codes == metrics_features
+    assert _same_network(net_codes, net_features)
 
 
 # --- evaluation ------------------------------------------------------------------

@@ -90,6 +90,35 @@ def test_sgd_deterministic_over_100_steps():
     assert np.array_equal(b1, b2)
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_sgd_in_place_step_matches_out_of_place_formula(weight_decay):
+    """The update, bitwise, against v = m * v + (g + wd * w); w -= lr * v with
+    fresh arrays, across the learning-rate drop and with a -0.0 gradient."""
+    rng = np.random.default_rng(38)
+    dims = [(6, 5), (3, 6)]
+    net = Network([DenseLayer(rng.normal(size=d), rng.normal(size=d[0])) for d in dims],
+                  ["relu", "identity"])
+    cfg = SgdConfig(momentum=0.9, weight_decay=weight_decay)
+    opt = Sgd(net, cfg)
+    ref_w = [l.weights.copy() for l in net.layers]
+    ref_b = [l.bias.copy() for l in net.layers]
+    vel_w = [np.zeros_like(w) for w in ref_w]
+    vel_b = [np.zeros_like(b) for b in ref_b]
+    for step in range(40):
+        g = GradientSet([rng.normal(size=d) for d in dims], [rng.normal(size=d[0]) for d in dims])
+        g.weights[0][0, 0] = -0.0
+        opt.step(net, g, progress=step / 40)
+        lr = lr_at(cfg, step / 40)
+        for i in range(len(dims)):
+            vel_w[i] = cfg.momentum * vel_w[i] + (g.weights[i] + weight_decay * ref_w[i])
+            ref_w[i] = ref_w[i] - lr * vel_w[i]
+            vel_b[i] = cfg.momentum * vel_b[i] + g.biases[i]
+            ref_b[i] = ref_b[i] - lr * vel_b[i]
+    for layer, w, b in zip(net.layers, ref_w, ref_b):
+        assert layer.weights.tobytes() == w.tobytes()
+        assert layer.bias.tobytes() == b.tobytes()
+
+
 # --- Adam --------------------------------------------------------------------------
 
 def test_adam_zero_gradient_is_noop():
