@@ -23,7 +23,7 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.b <= 0.0:
+        if not self.b > 0.0:
             raise ConfigError(f"schedule scale b must be > 0, got {self.b}")
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"schedule peak mu must be in [0, 1], got {self.mu}")

@@ -5,6 +5,7 @@ including a checkpoint that does not fit the configured network.
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +24,8 @@ def _parse_grid(raw: str, name: str):
         raise ConfigError(f"--{name} {raw!r} is not a comma-separated number list") from None
     if not values:
         raise ConfigError(f"--{name} must list at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--{name} {raw!r} lists a non-finite value")
     return values
 
 

@@ -7,6 +7,7 @@ so typos in grid scripts cannot pass silently.
 """
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -117,9 +118,12 @@ def _paths(raw, name, base_dir):
 def _number(kind, noun):
     def convert(raw, name, base_dir):
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
             raise ConfigError(f"{name} = {raw!r} is not {noun}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} = {raw!r} is not a finite number")
+        return value
     return convert
 
 

@@ -159,7 +159,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
                 raise TrainingError(_diagnose_nonfinite(network, epoch, batch_idx, t))
             loss_sum += batch_loss
             correct += int((np.argmax(preds, axis=1) == lb).sum())
-            grads = nn.backward_batch(network, cache, grad_rows / idx.size)
+            grad_rows /= idx.size
+            grads = nn.backward_batch(network, cache, grad_rows)
             optimizer.step(network, grads, progress)
             t += 1
             if batch_idx == iters_per_epoch - 1:
@@ -240,6 +241,12 @@ def grid_search(config: ExperimentConfig, b_values, alpha_values) -> GridResult:
     of per-trial max validation accuracy, ties broken by smallest (b, alpha)."""
     if not b_values or not alpha_values:
         raise ConfigError("grid values must be non-empty")
+    for name, values in (("b", b_values), ("alpha", alpha_values)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} grid {sorted(values)} repeats a value")
+    if config.smoothing.mode == "off":
+        raise ConfigError("smoothing mode off has no (b, alpha) to search: "
+                          "every grid point would train the same network")
     dataset_pair = prepare_data(config)
     points = []
     for b in sorted(b_values):

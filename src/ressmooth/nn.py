@@ -23,8 +23,9 @@ CHECKPOINT_MAGIC = b"RSM1"
 
 class DenseLayer:
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
+        # C-contiguous, so the optimizers can update them through flat views
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        bias = np.ascontiguousarray(bias, dtype=np.float64)
         if weights.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weights.shape[0]:
             raise ShapeError(f"bad layer shapes: weights {weights.shape}, bias {bias.shape}")
         self.weights = weights
@@ -100,9 +101,10 @@ class ForwardCache:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 class GradientSet:
@@ -124,7 +126,8 @@ def forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
     pre, post = [], []
     a = xb
     for layer, act in zip(network.layers, network.activations):
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.T
+        z += layer.bias
         if act == "relu":
             a = np.maximum(z, 0.0)
         elif act == "identity":
@@ -148,13 +151,15 @@ def backward_batch(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -
     for i in reversed(range(k)):
         z = cache.pre[i]
         act = network.activations[i]
-        if act == "relu":
-            dz = delta * (z > 0.0)
+        if act == "relu":  # delta * (z > 0), with the mask made as float64 in place
+            dz = np.greater(z, 0.0, out=np.empty_like(z))
+            dz *= delta
         elif act == "identity":
             dz = delta
         else:
             p = cache.post[i]
-            dz = p * (delta - np.sum(p * delta, axis=1, keepdims=True))
+            dz = delta - np.sum(p * delta, axis=1, keepdims=True)
+            dz *= p
         a_in = cache.post[i - 1] if i > 0 else cache.x
         grads_w[i] = dz.T @ a_in
         grads_b[i] = dz.sum(axis=0)

@@ -4,6 +4,9 @@ SGD carries momentum, coupled weight decay (a lambda*w term added to the
 gradient of weight matrices only, never biases) and a two-phase learning
 rate. Adam and AdaGrad are the canonical rules. Label smoothing is the
 target-side baseline.
+
+Every rule updates its state and the parameters in place, in the operation
+order of its textbook formula, so the bits are those of the fresh-array form.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ class SgdConfig:
             raise ConfigError(f"need lr_high > lr_low > 0, got {self.lr_high}, {self.lr_low}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.drop_at <= 1.0:
             raise ConfigError(f"drop_at must be in [0, 1], got {self.drop_at}")
@@ -41,7 +44,7 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0.0 or self.eps <= 0.0:
+        if not (self.lr > 0.0 and self.eps > 0.0):
             raise ConfigError("lr and eps must be > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must be in [0, 1)")
@@ -56,13 +59,18 @@ class AdaGradConfig:
     eps: float = 1e-10
 
     def __post_init__(self):
-        if self.lr <= 0.0 or self.eps <= 0.0:
+        if not (self.lr > 0.0 and self.eps > 0.0):
             raise ConfigError("lr and eps must be > 0")
 
 
 def lr_at(config: SgdConfig, progress: float) -> float:
     """Two-phase schedule; the boundary belongs to the low phase."""
     return config.lr_high if progress < config.drop_at else config.lr_low
+
+
+# Elements per SGD block: 256 KiB of float64, so the five passes over a block
+# of weights, velocities and gradients run in L2 rather than from memory.
+_BLOCK = 1 << 15
 
 
 class Sgd:
@@ -72,52 +80,104 @@ class Sgd:
         self.vel_b = [np.zeros_like(l.bias) for l in network.layers]
 
     def step(self, network: Network, grads: GradientSet, progress: float):
-        # in place, in the operation order of w -= lr * (m * v + (g + wd * w))
+        # in place, in the operation order of w -= lr * (m * v + (g + wd * w)),
+        # one block of the flat views at a time
         cfg = self.config
         lr = lr_at(cfg, progress)
         for i, layer in enumerate(network.layers):
-            v = self.vel_w[i]
-            tmp = cfg.weight_decay * layer.weights
-            tmp += grads.weights[i]
-            v *= cfg.momentum
-            v += tmp
-            np.multiply(lr, v, out=tmp)
-            layer.weights -= tmp
+            w = layer.weights.reshape(-1)
+            v = self.vel_w[i].reshape(-1)
+            g = grads.weights[i].reshape(-1)
+            tmp = np.empty(min(w.size, _BLOCK))
+            for start in range(0, w.size, _BLOCK):
+                wb, vb = w[start:start + _BLOCK], v[start:start + _BLOCK]
+                t = tmp[:wb.size]
+                np.multiply(cfg.weight_decay, wb, out=t)
+                t += g[start:start + _BLOCK]
+                vb *= cfg.momentum
+                vb += t
+                np.multiply(lr, vb, out=t)
+                wb -= t
             v = self.vel_b[i]
             v *= cfg.momentum
             v += grads.biases[i]
             layer.bias -= lr * v
 
 
-class Adam:
+class _FlatRule:
+    """Shared part of the rules that keep their state as flat vectors: each
+    step gathers the gradient into `self.g`, leaves the update there, and
+    subtracts it from the parameters through views shaped like them."""
+
+    def __init__(self, network: Network):
+        params = _flat_params(network)
+        n = sum(p.size for p in params)
+        self.g = np.empty(n)
+        self.tmp = np.empty(n)
+        self.updates, start = [], 0
+        for p in params:
+            self.updates.append(self.g[start:start + p.size].reshape(p.shape))
+            start += p.size
+
+    def _gather(self, grads: GradientSet):
+        return np.concatenate(_flat_grads(grads), axis=None, out=self.g)
+
+    def _apply(self, network: Network):
+        for param, update in zip(_flat_params(network), self.updates):
+            param -= update
+
+
+class Adam(_FlatRule):
     def __init__(self, network: Network, config: AdamConfig):
+        super().__init__(network)
         self.config = config
         self.t = 0
-        params = _flat_params(network)
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(self.g)
+        self.v = np.zeros_like(self.g)
 
     def step(self, network: Network, grads: GradientSet, progress: float = 0.0):
+        # in place, in the operation order of m = b1 * m + (1 - b1) * g,
+        # v = b2 * v + (1 - b2) * g * g and
+        # param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         cfg = self.config
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        for i, (param, g) in enumerate(zip(_flat_params(network), _flat_grads(grads))):
-            self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * g * g
-            param -= cfg.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + cfg.eps)
+        g, m, v, tmp = self._gather(grads), self.m, self.v, self.tmp
+        m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, g, out=tmp)
+        m += tmp
+        np.multiply(1.0 - cfg.beta2, g, out=tmp)
+        tmp *= g
+        v *= cfg.beta2
+        v += tmp
+        np.divide(m, bc1, out=g)
+        g *= cfg.lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        g /= tmp
+        self._apply(network)
 
 
-class AdaGrad:
+class AdaGrad(_FlatRule):
     def __init__(self, network: Network, config: AdaGradConfig):
+        super().__init__(network)
         self.config = config
-        self.acc = [np.zeros_like(p) for p in _flat_params(network)]
+        self.acc = np.zeros_like(self.g)
 
     def step(self, network: Network, grads: GradientSet, progress: float = 0.0):
+        # in place, in the operation order of acc += g * g and
+        # param -= lr * g / (sqrt(acc) + eps)
         cfg = self.config
-        for i, (param, g) in enumerate(zip(_flat_params(network), _flat_grads(grads))):
-            self.acc[i] += g * g
-            param -= cfg.lr * g / (np.sqrt(self.acc[i]) + cfg.eps)
+        g, acc, tmp = self._gather(grads), self.acc, self.tmp
+        np.multiply(g, g, out=tmp)
+        acc += tmp
+        g *= cfg.lr
+        np.sqrt(acc, out=tmp)
+        tmp += cfg.eps
+        g /= tmp
+        self._apply(network)
 
 
 def _flat_params(network: Network):

@@ -40,11 +40,11 @@ class SmoothingConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown smoothing mode {self.mode!r}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.eps_std <= 0.0:
+        if not self.eps_std > 0.0:
             raise ConfigError(f"eps_std must be > 0, got {self.eps_std}")
         if not 0.0 <= self.local_scale <= 1.0:
             raise ConfigError(f"local_scale must be in [0, 1], got {self.local_scale}")
@@ -54,27 +54,42 @@ def sigmoid_scale(x, s: float, alpha: float) -> np.ndarray:
     """s / (1 + exp(-alpha * x)), elementwise and overflow-safe."""
     if not 0.0 <= s <= 1.0:
         raise ConfigError(f"scale s must be in [0, 1], got {s}")
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    z = alpha * np.asarray(x, dtype=np.float64)
-    # exp(min(z, 0)) is exp(-|z|) where z < 0 and 1 elsewhere; neither overflows
-    return s * np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+    z = np.multiply(alpha, x, out=np.empty(np.shape(x)))  # an array even for a scalar x
+    # s * exp(min(z, 0)) / (1 + exp(-|z|)) with one exp: exp(min(z, 0)) is
+    # exp(-|z|) where z < 0 and 1 elsewhere, bitwise; neither overflows
+    nonneg = z >= 0.0
+    e = np.copysign(z, -1.0, out=z)  # -|z|
+    np.exp(e, out=e)
+    out = np.maximum(e, nonneg)
+    out *= s
+    e += 1.0
+    out /= e
+    return out
 
 
 def batch_normalize(d_rows: np.ndarray, eps_std: float) -> np.ndarray:
     """Row-wise mean-0 / population-std-1 normalization with clamped std."""
-    mu = d_rows.mean(axis=1, keepdims=True)
+    # a row mean is its sum divided by the count, bitwise, as np.mean computes it
+    m = d_rows.shape[1]
+    mu = d_rows.sum(axis=1, keepdims=True)
+    mu /= m
     centered = d_rows - mu
-    sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True))
-    return centered / np.maximum(sigma, eps_std)
+    var = (centered * centered).sum(axis=1, keepdims=True)
+    var /= m
+    centered /= np.maximum(np.sqrt(var, out=var), eps_std)
+    return centered
 
 
 def batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig) -> np.ndarray:
     """Diffusivity rows for a batch of raw residual rows, per the config mode."""
+    if not 0.0 <= s_t <= 1.0:
+        raise ConfigError(f"s_t must be in [0, 1], got {s_t}")
     if cfg.mode == "off":
         return np.zeros_like(d_rows)
-    if cfg.mode == "global":
-        return sigmoid_scale(d_rows, s_t, 0.0)
+    if cfg.mode == "global":  # alpha = 0: the sigmoid of anything finite is s_t / 2
+        return np.full_like(d_rows, s_t / 2.0)
     d_tilde = batch_normalize(d_rows, cfg.eps_std)
     if cfg.mode == "local":
         return sigmoid_scale(d_tilde, cfg.local_scale, cfg.alpha)
@@ -98,16 +113,25 @@ def batch_smoothed_loss_grad(predictions: np.ndarray, targets: np.ndarray,
     m = d.shape[1]
     if m > 1:
         c = kappa / (m - 1.0)
-        a = 1.0 - kappa - c
+        a = 1.0 - kappa
+        a -= c
     else:  # a single output has nothing to interpolate with: W = 1
         c = np.zeros_like(kappa)
         a = np.ones_like(kappa)
+    # in place, each expression in the order of u = a*u + c*sum(u) and
+    # v = a*v + sum(c*v), so the bits are those of the fresh-array form
     u = d
+    cs = np.empty_like(c)
     for _ in range(cfg.n_steps):
-        u = a * u + c * u.sum(axis=1, keepdims=True)
+        np.multiply(c, u.sum(axis=1, keepdims=True), out=cs)
+        u *= a
+        u += cs
+    loss = np.einsum("bj,bj->b", u, u)
     v = u
     for _ in range(cfg.n_steps):
-        v = a * v + np.einsum("bj,bj->b", c, v)[:, None]
-    loss = np.einsum("bj,bj->b", u, u)
-    grad = 2.0 * v * np.sign(r)
-    return loss, grad, kappa
+        cv = np.einsum("bj,bj->b", c, v)[:, None]
+        v *= a
+        v += cv
+    v *= 2.0
+    v *= np.sign(r, out=r)
+    return loss, v, kappa

@@ -7,6 +7,10 @@ it by matrix products, one residual vector at a time. `pad_crop_flip`
 augments one CIFAR image at given offsets. Training never calls any of this:
 it goes through `nn.forward_batch`, `smoothing.batch_smoothed_loss_grad`,
 `nn.backward_batch` and `data.augment_batch`.
+
+The `fresh_*` functions are those batch functions written with a fresh array
+per expression, in the same operation order as the in-place production code.
+The production code must equal them bitwise.
 """
 
 from typing import NamedTuple
@@ -15,7 +19,7 @@ import numpy as np
 
 from ressmooth.errors import ConfigError, InputError, ShapeError
 from ressmooth.nn import ForwardCache, GradientSet, Network
-from ressmooth.smoothing import MODES, sigmoid_scale
+from ressmooth.smoothing import MODES, SmoothingConfig, sigmoid_scale
 
 # --- network ---------------------------------------------------------------------
 
@@ -76,7 +80,97 @@ def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> Grad
     return GradientSet(grads_w, grads_b)
 
 
+def fresh_softmax_rows(z: np.ndarray) -> np.ndarray:
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def fresh_forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
+    pre, post = [], []
+    a = xb
+    for layer, act in zip(network.layers, network.activations):
+        z = a @ layer.weights.T + layer.bias
+        if act == "relu":
+            a = np.maximum(z, 0.0)
+        elif act == "identity":
+            a = z
+        else:
+            a = fresh_softmax_rows(z)
+        pre.append(z)
+        post.append(a)
+    return ForwardCache(xb, pre, post)
+
+
+def fresh_backward_batch(network: Network, cache: ForwardCache,
+                         dl_dout: np.ndarray) -> GradientSet:
+    k = len(network.layers)
+    grads_w = [None] * k
+    grads_b = [None] * k
+    delta = dl_dout
+    for i in reversed(range(k)):
+        z = cache.pre[i]
+        act = network.activations[i]
+        if act == "relu":
+            dz = delta * (z > 0.0)
+        elif act == "identity":
+            dz = delta
+        else:
+            p = cache.post[i]
+            dz = p * (delta - np.sum(p * delta, axis=1, keepdims=True))
+        a_in = cache.post[i - 1] if i > 0 else cache.x
+        grads_w[i] = dz.T @ a_in
+        grads_b[i] = dz.sum(axis=0)
+        if i > 0:
+            delta = dz @ network.layers[i].weights
+    return GradientSet(grads_w, grads_b)
+
+
 # --- residual smoothing ------------------------------------------------------------
+
+
+def fresh_sigmoid_scale(x, s: float, alpha: float) -> np.ndarray:
+    z = alpha * np.asarray(x, dtype=np.float64)
+    return s * np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
+def fresh_batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig) -> np.ndarray:
+    if cfg.mode == "off":
+        return np.zeros_like(d_rows)
+    if cfg.mode == "global":
+        return fresh_sigmoid_scale(d_rows, s_t, 0.0)
+    mu = d_rows.mean(axis=1, keepdims=True)
+    centered = d_rows - mu
+    sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True))
+    d_tilde = centered / np.maximum(sigma, cfg.eps_std)
+    if cfg.mode == "local":
+        return fresh_sigmoid_scale(d_tilde, cfg.local_scale, cfg.alpha)
+    return fresh_sigmoid_scale(d_tilde, s_t, cfg.alpha)
+
+
+def fresh_batch_smoothed_loss_grad(predictions: np.ndarray, targets: np.ndarray,
+                                   s_t: float, cfg: SmoothingConfig):
+    r = predictions - targets
+    d = np.abs(r)
+    kappa = fresh_batch_diffusivity(d, s_t, cfg)
+    m = d.shape[1]
+    if m > 1:
+        c = kappa / (m - 1.0)
+        a = 1.0 - kappa - c
+    else:
+        c = np.zeros_like(kappa)
+        a = np.ones_like(kappa)
+    u = d
+    for _ in range(cfg.n_steps):
+        u = a * u + c * u.sum(axis=1, keepdims=True)
+    v = u
+    for _ in range(cfg.n_steps):
+        v = a * v + np.einsum("bj,bj->b", c, v)[:, None]
+    loss = np.einsum("bj,bj->b", u, u)
+    grad = 2.0 * v * np.sign(r)
+    return loss, grad, kappa
+
+
 
 
 class NormalizedResidual(NamedTuple):

@@ -166,6 +166,37 @@ def test_bad_grid_flag_exits_nonzero(tiny_corpus, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--b-grid", "inf"), ("--b-grid", "0.5,-inf"),
+                                         ("--alpha-grid", "1,nan")])
+def test_non_finite_grid_value_exits_nonzero(tiny_corpus, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out), flag, value]) == 2
+    assert f"error: {flag} {value!r} lists a non-finite value" in capsys.readouterr().err
+    assert not (out / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("b_grid, alpha_grid, name", [("0.5,0.3,0.5", "1", "b"),
+                                                      ("0.5", "1,2,1.0", "alpha")])
+def test_grid_with_a_repeated_value_exits_nonzero(tiny_corpus, tmp_path, capsys,
+                                                  b_grid, alpha_grid, name):
+    out = tmp_path / "out"
+    code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
+                 "--b-grid", b_grid, "--alpha-grid", alpha_grid])
+    assert code == 2
+    assert f"error: {name} grid" in capsys.readouterr().err
+    assert not (out / "grid.csv").exists()
+
+
+def test_grid_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", "mode = off"))
+    out = tmp_path / "out"
+    code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
+                 "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
+    assert code == 2
+    assert "error: smoothing mode off has no (b, alpha) to search" in capsys.readouterr().err
+    assert not (out / "grid.csv").exists()
+
+
 def test_cifar_kind_with_augmentation(tmp_path, capsys):
     rng = np.random.default_rng(33)
     records = b""

@@ -1,9 +1,13 @@
 import pytest
 
+from ressmooth.annealing import AnnealSchedule
 from ressmooth.config import (DatasetSpec, ExperimentConfig, ModelSpec, parse_config,
                               parse_config_text)
 from ressmooth.errors import ConfigError
 from ressmooth.optim import OPTIMIZERS, AdaGradConfig, AdamConfig, SgdConfig
+from ressmooth.smoothing import SmoothingConfig
+
+NAN = float("nan")
 
 GOOD = """
 [dataset]
@@ -95,6 +99,37 @@ def test_bad_enum_values():
         parse_config_text(GOOD.replace("mode = global_local", "mode = everywhere"))
     with pytest.raises(ConfigError, match="output_activation .*got 'tanh'"):
         parse_config_text(GOOD.replace("output_activation = softmax", "output_activation = tanh"))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("alpha = 1.0", "alpha = nan", "[regularizer] alpha"),
+    ("b = 0.5", "b = inf", "[regularizer] b"),
+    ("lr_high = 0.1", "lr_high = -inf", "[optimizer] lr_high"),
+    ("weight_decay = 0.001", "weight_decay = NaN", "[optimizer] weight_decay"),
+])
+def test_non_finite_numbers_are_rejected(old, new, key):
+    with pytest.raises(ConfigError, match=rf"^\{key} = '.*' is not a finite number$"):
+        parse_config_text(GOOD.replace(old, new))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AnnealSchedule(b=NAN),
+    lambda: SmoothingConfig(alpha=NAN),
+    lambda: SmoothingConfig(eps_std=NAN),
+    lambda: SmoothingConfig(local_scale=NAN),
+    lambda: SgdConfig(weight_decay=NAN),
+    lambda: SgdConfig(lr_low=NAN),
+    lambda: AdamConfig(lr=NAN),
+    lambda: AdamConfig(eps=NAN),
+    lambda: AdaGradConfig(lr=NAN),
+    lambda: AdaGradConfig(eps=NAN),
+    lambda: DatasetSpec(kind="cifar10", train_files=("a",), test_files=("b",),
+                        subsample_ratio=NAN),
+], ids=["b", "alpha", "eps_std", "local_scale", "weight_decay", "lr_low", "adam_lr",
+        "adam_eps", "adagrad_lr", "adagrad_eps", "subsample_ratio"])
+def test_nan_fails_the_dataclass_checks(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_optimizer_kind_scopes_keys():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import backward, forward
+from oracles import (backward, forward, fresh_backward_batch, fresh_forward_batch,
+                     fresh_softmax_rows)
 from ressmooth.errors import FormatError, ShapeError
 from ressmooth.nn import (DenseLayer, Network, backward_batch, build_network, forward_batch,
                           he_init, load_checkpoint, load_parameters, save_checkpoint)
@@ -168,6 +169,33 @@ def test_backward_batch_sums_per_sample_gradients():
     for j in range(len(net.layers)):
         assert np.allclose(batch.weights[j], acc_w[j], rtol=1e-10, atol=1e-12)
         assert np.allclose(batch.biases[j], acc_b[j], rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("output_activation", ["softmax", "identity"])
+def test_batch_passes_bitwise_match_fresh_array_forms(output_activation):
+    """The in-place bias add, softmax, relu mask and softmax backward against
+    the same expressions with a fresh array each, kept in `oracles`."""
+    net = random_net([9, 7, 6, 5], output_activation=output_activation, seed=15)
+    rng = np.random.default_rng(16)
+    xb = rng.normal(size=(11, 9))
+    gb = rng.normal(size=(11, 5))
+    gb[0, 0] = -0.0
+    cache, want = forward_batch(net, xb), fresh_forward_batch(net, xb)
+    for got_list, want_list in ((cache.pre, want.pre), (cache.post, want.post)):
+        for g, w in zip(got_list, want_list):
+            assert g.tobytes() == w.tobytes()
+    got_grads = backward_batch(net, cache, gb.copy())
+    want_grads = fresh_backward_batch(net, want, gb)
+    for g, w in zip(got_grads.weights + got_grads.biases, want_grads.weights + want_grads.biases):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_softmax_rows_bitwise_matches_fresh_array_form():
+    rng = np.random.default_rng(17)
+    z = np.concatenate([rng.normal(0.0, 30.0, size=(20, 10)), np.full((1, 10), -745.0)])
+    net = Network([DenseLayer(np.eye(10), np.zeros(10))], ["softmax"])
+    cache = forward_batch(net, z)
+    assert cache.prediction.tobytes() == fresh_softmax_rows(cache.pre[0]).tobytes()
 
 
 # --- architecture validation ------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 
 from ressmooth.errors import ConfigError
 from ressmooth.nn import DenseLayer, GradientSet, Network
-from ressmooth.optim import (OPTIMIZERS, AdaGrad, AdaGradConfig, Adam, AdamConfig, Sgd,
-                             SgdConfig, label_smooth, lr_at, make_optimizer)
+from ressmooth.optim import (_BLOCK, OPTIMIZERS, AdaGrad, AdaGradConfig, Adam, AdamConfig,
+                             Sgd, SgdConfig, label_smooth, lr_at, make_optimizer)
 
 
 def scalar_net(w=1.0, b=0.0):
@@ -117,6 +117,87 @@ def test_sgd_in_place_step_matches_out_of_place_formula(weight_decay):
     for layer, w, b in zip(net.layers, ref_w, ref_b):
         assert layer.weights.tobytes() == w.tobytes()
         assert layer.bias.tobytes() == b.tobytes()
+
+
+def test_sgd_blocked_step_matches_out_of_place_formula_past_one_block():
+    """A layer of more than one block, with a ragged last one: bitwise equal
+    to the fresh-array update over 30 steps."""
+    rows = 5
+    cols = _BLOCK // rows + 7  # 5 x 6560 = 32800 elements: one full block and 32 more
+    assert rows * cols > _BLOCK and (rows * cols) % _BLOCK != 0
+    rng = np.random.default_rng(39)
+    net = Network([DenseLayer(rng.normal(size=(rows, cols)), rng.normal(size=rows))],
+                  ["identity"])
+    cfg = SgdConfig(momentum=0.9, weight_decay=1e-3)
+    opt = Sgd(net, cfg)
+    ref_w, ref_b = net.layers[0].weights.copy(), net.layers[0].bias.copy()
+    vel_w, vel_b = np.zeros_like(ref_w), np.zeros_like(ref_b)
+    for step in range(30):
+        g = GradientSet([rng.normal(size=(rows, cols))], [rng.normal(size=rows)])
+        g.weights[0][-1, -1] = -0.0
+        opt.step(net, g, progress=step / 30)
+        lr = lr_at(cfg, step / 30)
+        vel_w = cfg.momentum * vel_w + (g.weights[0] + cfg.weight_decay * ref_w)
+        ref_w = ref_w - lr * vel_w
+        vel_b = cfg.momentum * vel_b + g.biases[0]
+        ref_b = ref_b - lr * vel_b
+    assert net.layers[0].weights.tobytes() == ref_w.tobytes()
+    assert net.layers[0].bias.tobytes() == ref_b.tobytes()
+
+
+def _two_layer_net_and_grads(seed, steps):
+    """A 6-5-3 network and `steps` gradient sets, each with a -0.0 entry and
+    a zero entry; the last layer's bias gradient is zero in every step."""
+    rng = np.random.default_rng(seed)
+    dims = [(5, 6), (3, 5)]
+    net = Network([DenseLayer(rng.normal(size=d), rng.normal(size=d[0])) for d in dims],
+                  ["relu", "identity"])
+    grads = []
+    for _ in range(steps):
+        g = GradientSet([rng.normal(size=d) for d in dims], [rng.normal(size=d[0]) for d in dims])
+        g.weights[0][0, 0] = -0.0
+        g.weights[1][1, 2] = 0.0
+        g.biases[1][:] = 0.0
+        grads.append(g)
+    return net, grads
+
+
+def test_adam_in_place_step_matches_textbook_formula():
+    net, grads = _two_layer_net_and_grads(40, 35)
+    cfg = AdamConfig(lr=0.01)
+    opt = Adam(net, cfg)
+    params = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, g in enumerate(grads, start=1):
+        opt.step(net, g)
+        bc1 = 1.0 - cfg.beta1 ** t
+        bc2 = 1.0 - cfg.beta2 ** t
+        flat = [a for pair in zip(g.weights, g.biases) for a in pair]
+        for i, gi in enumerate(flat):
+            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * gi
+            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * gi * gi
+            params[i] = params[i] - cfg.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
+    got = [a for l in net.layers for a in (l.weights, l.bias)]
+    for p, want in zip(got, params):
+        assert p.tobytes() == want.tobytes()
+
+
+def test_adagrad_in_place_step_matches_textbook_formula():
+    net, grads = _two_layer_net_and_grads(41, 35)
+    cfg = AdaGradConfig(lr=0.01)
+    opt = AdaGrad(net, cfg)
+    params = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
+    acc = [np.zeros_like(p) for p in params]
+    for g in grads:
+        opt.step(net, g)
+        flat = [a for pair in zip(g.weights, g.biases) for a in pair]
+        for i, gi in enumerate(flat):
+            acc[i] = acc[i] + gi * gi
+            params[i] = params[i] - cfg.lr * gi / (np.sqrt(acc[i]) + cfg.eps)
+    got = [a for l in net.layers for a in (l.weights, l.bias)]
+    for p, want in zip(got, params):
+        assert p.tobytes() == want.tobytes()
 
 
 # --- Adam --------------------------------------------------------------------------

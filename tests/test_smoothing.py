@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (apply_smoothing, diffusivity, normalize_residual, residual,
-                     smoothed_loss, smoothed_loss_backward, smoothing_matrix)
+from oracles import (apply_smoothing, diffusivity, fresh_batch_smoothed_loss_grad,
+                     normalize_residual, residual, smoothed_loss, smoothed_loss_backward,
+                     smoothing_matrix)
 from ressmooth.errors import ConfigError, InputError, ShapeError
 from ressmooth.smoothing import (SmoothingConfig, batch_diffusivity, batch_normalize,
                                  batch_smoothed_loss_grad, sigmoid_scale)
@@ -378,3 +379,27 @@ def test_batch_diffusivity_global_matches_elementwise():
     d_rows = rng.random((4, 6))
     got = batch_diffusivity(d_rows, 0.5, cfg)
     assert np.array_equal(got, sigmoid_scale(d_rows, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("s_t", [0.0, 1.0])
+@pytest.mark.parametrize("n_steps", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 10, 100])
+@pytest.mark.parametrize("mode", ["off", "global", "local", "global_local"])
+def test_batch_kernel_bitwise_matches_fresh_array_form(mode, m, n_steps, s_t):
+    """The in-place kernel against the same expressions with a fresh array
+    each (`oracles.fresh_batch_smoothed_loss_grad`): loss, gradient and kappa
+    bitwise, with whole rows and single entries of zero residual."""
+    rng = np.random.default_rng(1000 * m + 10 * n_steps + int(s_t))
+    cfg = SmoothingConfig(mode=mode, alpha=1.3, n_steps=n_steps, local_scale=0.9)
+    logits = rng.normal(0.0, 2.0, size=(12, m))
+    preds = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    targets = np.eye(m)[rng.integers(0, m, size=12)]
+    preds[0] = targets[0]  # a row of zero residual
+    preds[1, 0] = targets[1, 0]  # one zero entry in an otherwise nonzero row
+    preds[2] = 0.5  # a row of equal residuals: normalized std clamped to eps_std
+    got = batch_smoothed_loss_grad(preds.copy(), targets.copy(), s_t, cfg)
+    want = fresh_batch_smoothed_loss_grad(preds, targets, s_t, cfg)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+

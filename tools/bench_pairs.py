@@ -1,0 +1,126 @@
+"""Alternating parent/change pairs of the benchmark, summarized into one report.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workloads many_class,fashion_train --seeds 17,23 --pairs 10 \\
+        --seconds 20 --out BENCH_<n>.json
+
+Both checkouts' `perfbench/run.py` run unchanged, one process at a time. For
+each workload and seed, one warm-up run per side comes first and is thrown
+away: it fills the checkout's input cache, so the generator's memory never
+lands in a reported run. Then come `--pairs` pairs, the parent first in odd
+pairs and the change first in even ones.
+
+The output keeps the layout of the earlier `BENCH_<pr>.json` files:
+`reports` holds the change's report (facts and metrics) from the last pair,
+`pairs` every pair's metrics of both sides, both keyed by
+`<workload>-seed<seed>` (`-trace` appended for `--trace 1` runs). `summary`
+adds, per metric, each side's median and quartiles and the number of pairs
+the change won (a strictly better value, in the direction BENCHMARK.json
+gives). An existing `--out` file is extended: its other keys are kept.
+Standard library only.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+             size: str) -> dict:
+    """One `perfbench/run.py` run in `checkout`: its report, the parsed
+    last two lines of its standard output."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace), "--size", size]
+    done = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited with {done.returncode}")
+    facts = json.loads(lines[-2])["facts"]
+    result = json.loads(lines[-1])
+    return {"facts": facts,
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "failed": result["failed"]}
+
+
+def spread(values) -> dict:
+    """Median and quartiles (inclusive method; a single value is all three)."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs, better: dict) -> dict:
+    """Per metric: both sides' spread and the change's win count."""
+    out = {}
+    for name in pairs[0]["change"]:
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+        out[name] = {"parent": spread(parent), "change": spread(change),
+                     "change_wins": wins, "pairs": len(pairs)}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path, help="parent commit checkout")
+    parser.add_argument("--change", required=True, type=Path, help="changed checkout")
+    parser.add_argument("--workloads", required=True, help="comma-separated workload names")
+    parser.add_argument("--seeds", default="17", help="comma-separated input seeds")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--out", required=True, type=Path, help="report file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = {"reports": {}, "pairs": {}, "summary": {}}
+    if args.out.exists():
+        report = json.loads(args.out.read_text())
+    report["command"] = (f"python3 perfbench/run.py --workload <name> --seed <seed> "
+                         f"--seconds {args.seconds:g} --trace <0 or 1> --size {args.size}")
+    report["about"] = ("reports: this change's report per workload, seed and trace setting, "
+                       "from the last pair; pairs: the metrics of every pair, parent commit and "
+                       "change, alternating which ran first (odd pairs: parent first), after "
+                       "one discarded warm-up run per side; summary: per metric, each side's "
+                       "median and quartiles and the pairs the change won")
+    for workload in args.workloads.split(","):
+        for seed in (int(s) for s in args.seeds.split(",")):
+            key = f"{workload}-seed{seed}" + ("-trace" if args.trace else "")
+
+            def run(side):
+                return run_once(sides[side], workload, seed, args.seconds, args.trace, args.size)
+
+            for side in sides:
+                run(side)  # warm-up, discarded
+            pairs = []
+            for k in range(1, args.pairs + 1):
+                order = ("parent", "change") if k % 2 else ("change", "parent")
+                runs = {side: run(side) for side in order}
+                pairs.append({"pair": k,
+                              "change": runs["change"]["metrics"],
+                              "parent": runs["parent"]["metrics"],
+                              "outputs_identical": (runs["change"]["facts"]["outputs_sha256"]
+                                                    == runs["parent"]["facts"]["outputs_sha256"]),
+                              "failed": {side: runs[side]["failed"] for side in sides}})
+                print(f"{key} pair {k}: " + json.dumps(pairs[-1]), flush=True)
+            report["reports"][key] = {"facts": runs["change"]["facts"],
+                                      "metrics": runs["change"]["metrics"]}
+            report["pairs"][key] = pairs
+            report["summary"][key] = summarize(pairs, better)
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
