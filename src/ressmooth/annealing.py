@@ -33,8 +33,6 @@ class AnnealSchedule:
 
 def logistic_pdf_scaled(t: float, mu: float, b: float) -> float:
     """Logistic density rescaled to peak value 1: sech^2((t - mu) / (2b))."""
-    if b <= 0.0:
-        raise ConfigError(f"scale b must be > 0, got {b}")
     # sech^2 via exp(-|z|) so large |t - mu| cannot overflow
     z = abs(t - mu) / (2.0 * b)
     e = math.exp(-z)
@@ -43,8 +41,6 @@ def logistic_pdf_scaled(t: float, mu: float, b: float) -> float:
 
 def laplace_pdf_scaled(t: float, mu: float, b: float) -> float:
     """Laplace density rescaled to peak value 1: exp(-|t - mu| / b)."""
-    if b <= 0.0:
-        raise ConfigError(f"scale b must be > 0, got {b}")
     return math.exp(-abs(t - mu) / b)
 
 

@@ -63,9 +63,9 @@ def _load_config(args):
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
+    aggregate = harness.run_trials(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    aggregate = harness.run_trials(config)
     for row, metrics, network in zip(aggregate.rows, aggregate.metrics, aggregate.networks):
         harness.write_metrics_csv(metrics, out / f"metrics_trial{row.trial}.csv")
         nn.save_checkpoint(network, out / f"checkpoint_trial{row.trial}.rsm")
@@ -78,17 +78,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _load_config(args)
+    points, best = harness.grid_search(config,
+                                       _parse_grid(args.b_grid, "b-grid"),
+                                       _parse_grid(args.alpha_grid, "alpha-grid"))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = harness.grid_search(config,
-                                 _parse_grid(args.b_grid, "b-grid"),
-                                 _parse_grid(args.alpha_grid, "alpha-grid"))
-    rows = [row for point in result.points for row in point.aggregate.rows]
-    harness.write_aggregate_csv(rows, out / "grid.csv")
-    best = result.best
-    print(f"grid points: {len(result.points)}")
-    print(f"best b={best.b:g} alpha={best.alpha:g} "
-          f"mean max val acc: {best.aggregate.mean_max_val_acc:.6f}")
+    harness.write_aggregate_csv([row for point in points for row in point.rows], out / "grid.csv")
+    print(f"grid points: {len(points)}")
+    print(f"best b={best.rows[0].b:g} alpha={best.rows[0].alpha:g} "
+          f"mean max val acc: {best.mean_max_val_acc:.6f}")
     return 0
 
 

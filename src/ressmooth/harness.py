@@ -47,12 +47,6 @@ class EpochMetrics:
 
 
 @dataclass(frozen=True)
-class TrialSummary:
-    max_val_acc: float
-    tail_mean_val_acc: float
-
-
-@dataclass(frozen=True)
 class TrialRow:
     b: float
     alpha: float
@@ -68,19 +62,6 @@ class TrialAggregate:
     mean_tail_val_acc: float
     metrics: tuple  # one EpochMetrics tuple per trial
     networks: tuple
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    b: float
-    alpha: float
-    aggregate: TrialAggregate
-
-
-@dataclass(frozen=True)
-class GridResult:
-    points: tuple
-    best: GridPoint
 
 
 def load_split(ds: DatasetSpec, split: str) -> data_mod.Dataset:
@@ -105,8 +86,8 @@ def prepare_data(config: ExperimentConfig):
 
 
 def _diagnose_nonfinite(network: nn.Network, epoch: int, batch_idx: int, iteration: int) -> str:
-    bad = [i for i, layer in enumerate(network.layers)
-           if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias)))]
+    bad = [i for i, (w, b) in enumerate(zip(network.weights, network.biases))
+           if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)))]
     where = f"layers {bad}" if bad else "parameters finite; loss overflow"
     return (f"non-finite loss at iteration {iteration} "
             f"(epoch {epoch}, batch {batch_idx}); {where}")
@@ -120,10 +101,10 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
         raise InputError("empty training split")
 
     dims = [train_ds.feature_count, *config.model.hidden, train_ds.class_count]
-    network = nn.he_init(
-        nn.build_network(dims, output_activation=config.model.output_activation),
-        substream(trial_seed, "init"))
+    network = nn.build_network(dims, config.model.output_activation,
+                               substream(trial_seed, "init"))
     optimizer = optim.make_optimizer(config.optimizer, network)
+    grads = np.empty_like(network.params)  # one per trial: a kept network holds none
     shuffle_rng = substream(trial_seed, "shuffle")
     augment_rng = substream(trial_seed, "augment")
 
@@ -160,13 +141,13 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             loss_sum += batch_loss
             correct += int((np.argmax(preds, axis=1) == lb).sum())
             grad_rows /= idx.size
-            grads = nn.backward_batch(network, cache, grad_rows)
+            nn.backward_batch(network, cache, grad_rows, grads)
             optimizer.step(network, grads, progress)
             t += 1
             if batch_idx == iters_per_epoch - 1:
                 s_end = s_t
-        for i, layer in enumerate(network.layers):
-            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
+        for i, (w, b) in enumerate(zip(network.weights, network.biases)):
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise TrainingError(f"non-finite parameters in layer {i} after epoch {epoch}")
         val_acc, _ = evaluate(network, test_ds)
         metrics.append(EpochMetrics(
@@ -199,32 +180,25 @@ def evaluate(network: nn.Network, dataset: data_mod.Dataset):
     return 100.0 * correct / dataset.n, loss_sum / dataset.n
 
 
-def summarize(metrics) -> TrialSummary:
-    """Max validation accuracy over epochs, and its mean over the last 10%
-    of epochs (at least one)."""
+def summarize(metrics):
+    """(max validation accuracy over epochs, its mean over the last 10% of
+    epochs, at least one)."""
     vals = [m.val_acc for m in metrics]
     n_tail = max(1, math.ceil(len(vals) / 10))
-    return TrialSummary(max(vals), sum(vals[-n_tail:]) / n_tail)
-
-
-def _tag_b(config: ExperimentConfig) -> float:
-    return config.schedule.b if config.smoothing.mode != "off" else 0.0
-
-
-def _tag_alpha(config: ExperimentConfig) -> float:
-    return config.smoothing.alpha if config.smoothing.mode != "off" else 0.0
+    return max(vals), sum(vals[-n_tail:]) / n_tail
 
 
 def run_trials(config: ExperimentConfig, dataset_pair=None) -> TrialAggregate:
-    """Train `trials` times with seeds base_seed .. base_seed + trials - 1."""
+    """Train `trials` times with seeds base_seed .. base_seed + trials - 1.
+    Rows carry the config's (b, alpha), (0, 0) in mode off."""
     if dataset_pair is None:
         dataset_pair = prepare_data(config)
+    b, alpha = ((config.schedule.b, config.smoothing.alpha)
+                if config.smoothing.mode != "off" else (0.0, 0.0))
     rows, all_metrics, networks = [], [], []
     for k in range(config.trials):
         network, metrics = train(config, config.base_seed + k, dataset_pair)
-        summary = summarize(metrics)
-        rows.append(TrialRow(_tag_b(config), _tag_alpha(config), k,
-                             summary.max_val_acc, summary.tail_mean_val_acc))
+        rows.append(TrialRow(b, alpha, k, *summarize(metrics)))
         all_metrics.append(tuple(metrics))
         networks.append(network)
     return TrialAggregate(
@@ -236,27 +210,41 @@ def run_trials(config: ExperimentConfig, dataset_pair=None) -> TrialAggregate:
     )
 
 
-def grid_search(config: ExperimentConfig, b_values, alpha_values) -> GridResult:
-    """run_trials per (b, alpha) grid point; the best point maximizes the mean
-    of per-trial max validation accuracy, ties broken by smallest (b, alpha)."""
+def grid_search(config: ExperimentConfig, b_values, alpha_values):
+    """run_trials per (b, alpha) grid point, in (b, alpha) order. Returns the
+    points' aggregates and the best one: the largest mean of per-trial max
+    validation accuracy, ties broken by smallest (b, alpha), which a point's
+    rows carry. An axis with several values must be one the config reads."""
     if not b_values or not alpha_values:
         raise ConfigError("grid values must be non-empty")
+    sm, schedule = config.smoothing, config.schedule
+    if sm.mode == "off":
+        raise ConfigError("smoothing mode off has no (b, alpha) to search: "
+                          "every grid point would train the same network")
+    # b shapes s_t, which only the annealed global modes read; alpha shapes
+    # the sigmoid of the local modes, and does nothing when s_t is always 0
+    s_always_zero = schedule.kind == "off" or (schedule.kind == "constant"
+                                               and schedule.const_s == 0.0)
+    reads = {"b": (sm.mode in ("global", "global_local")
+                   and schedule.kind in ("laplace", "logistic")),
+             "alpha": sm.mode == "local" or (sm.mode == "global_local" and not s_always_zero)}
     for name, values in (("b", b_values), ("alpha", alpha_values)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} grid {sorted(values)} repeats a value")
-    if config.smoothing.mode == "off":
-        raise ConfigError("smoothing mode off has no (b, alpha) to search: "
-                          "every grid point would train the same network")
+        if len(values) > 1 and not reads[name]:
+            raise ConfigError(f"smoothing mode {sm.mode} with schedule {schedule.kind} never "
+                              f"reads {name}: every point of the {name} grid {sorted(values)} "
+                              "would train the same network")
     dataset_pair = prepare_data(config)
     points = []
     for b in sorted(b_values):
         for alpha in sorted(alpha_values):
             cfg = replace(config,
-                          schedule=replace(config.schedule, b=b),
-                          smoothing=replace(config.smoothing, alpha=alpha))
-            points.append(GridPoint(b, alpha, run_trials(cfg, dataset_pair)))
-    best = min(points, key=lambda p: (-p.aggregate.mean_max_val_acc, p.b, p.alpha))
-    return GridResult(tuple(points), best)
+                          schedule=replace(schedule, b=b),
+                          smoothing=replace(sm, alpha=alpha))
+            points.append(run_trials(cfg, dataset_pair))
+    best = min(points, key=lambda p: (-p.mean_max_val_acc, p.rows[0].b, p.rows[0].alpha))
+    return tuple(points), best
 
 
 def _write_lines(path, lines):

@@ -1,6 +1,7 @@
-"""A small dense classifier with explicit forward caches and hand-derived
-backpropagation. No autodiff: `backward_batch` consumes the loss gradient
-w.r.t. the network output and chains it through the layers.
+"""A small dense classifier over one flat parameter vector, with explicit
+forward caches and hand-derived backpropagation. No autodiff:
+`backward_batch` consumes the loss gradient w.r.t. the network output and
+chains it through the layers.
 
 `forward_batch`/`backward_batch` work on a whole [B, N] mini-batch with
 matrix products; batch gradients are summed over the batch. The per-sample
@@ -21,70 +22,44 @@ ACTIVATIONS = ("relu", "softmax", "identity")
 CHECKPOINT_MAGIC = b"RSM1"
 
 
-class DenseLayer:
-    def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        # C-contiguous, so the optimizers can update them through flat views
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        bias = np.ascontiguousarray(bias, dtype=np.float64)
-        if weights.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weights.shape[0]:
-            raise ShapeError(f"bad layer shapes: weights {weights.shape}, bias {bias.shape}")
-        self.weights = weights
-        self.bias = bias
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-
 class Network:
-    """Ordered dense layers with one activation per layer."""
+    """Dense layers, one activation each, over one float64 vector `params`
+    laid out weights first: [W0, W1, ..., b0, b1, ...]. `weights[i]`
+    ([out, in], row-major) and `biases[i]` are views of it, so the weights
+    are the prefix of `n_weights` entries."""
 
-    def __init__(self, layers, activations):
-        layers = list(layers)
-        activations = list(activations)
-        if not layers or len(layers) != len(activations):
-            raise ShapeError("need one activation per layer")
-        for act in activations:
+    def __init__(self, dims, activations):
+        self.dims = list(dims)
+        self.activations = list(activations)
+        if len(self.dims) < 2 or len(self.activations) != len(self.dims) - 1:
+            raise ShapeError(f"need one activation per layer of dims {self.dims}")
+        for act in self.activations:
             if act not in ACTIVATIONS:
                 raise ShapeError(f"unknown activation {act!r}")
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.in_dim != prev.out_dim:
-                raise ShapeError(f"layer chain broken: {prev.out_dim} -> {nxt.in_dim}")
-        self.layers = layers
-        self.activations = activations
+        self.shapes = list(zip(self.dims[1:], self.dims))
+        sizes = [out_dim * in_dim for out_dim, in_dim in self.shapes] + self.dims[1:]
+        ends = np.cumsum(sizes).tolist()
+        self._bounds = list(zip([0, *ends[:-1]], ends))  # built once: views() runs every step
+        self.n_weights = ends[len(self.shapes) - 1]
+        self.params = np.zeros(ends[-1])
+        self.weights, self.biases = self.views(self.params)
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-
-def build_network(dims, output_activation="softmax") -> Network:
-    """Zero-initialized network with the given layer widths; hidden layers are relu."""
-    if len(dims) < 2:
-        raise ShapeError("need at least input and output dims")
-    layers, acts = [], []
-    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
-        layers.append(DenseLayer(np.zeros((n_out, n_in)), np.zeros(n_out)))
-        acts.append(output_activation if i == len(dims) - 2 else "relu")
-    return Network(layers, acts)
+    def views(self, flat: np.ndarray):
+        """(weight views, bias views) of a vector in the parameter layout."""
+        parts = [flat[lo:hi] for lo, hi in self._bounds]
+        k = len(self.shapes)
+        return [p.reshape(s) for p, s in zip(parts, self.shapes)], parts[k:]
 
 
-def he_init(network: Network, rng: np.random.Generator) -> Network:
-    """Fresh network with weights ~ Normal(0, sqrt(2 / fan_in)), zero biases."""
-    layers = []
-    for layer in network.layers:
-        std = np.sqrt(2.0 / layer.in_dim)
-        layers.append(DenseLayer(rng.normal(0.0, std, size=layer.weights.shape),
-                                 np.zeros(layer.out_dim)))
-    return Network(layers, list(network.activations))
+def build_network(dims, output_activation="softmax", rng=None) -> Network:
+    """Network with the given layer widths; hidden layers are relu. With an
+    rng the weights are He-initialized, ~ Normal(0, sqrt(2 / fan_in)), drawn
+    layer by layer; biases, and everything without an rng, are zero."""
+    network = Network(dims, ["relu"] * (len(dims) - 2) + [output_activation])
+    if rng is not None:
+        for w in network.weights:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+    return network
 
 
 class ForwardCache:
@@ -107,27 +82,19 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e
 
 
-class GradientSet:
-    """One gradient array per parameter array, aligned with the network."""
-
-    def __init__(self, weights, biases):
-        self.weights = list(weights)
-        self.biases = list(biases)
-
-
 def forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
     """Forward pass for a [B, N] batch; caches every pre-activation and activation.
 
     Inputs are not checked for finiteness here: they come from a `Dataset`,
     which validates its float inputs once when it is built."""
     xb = np.asarray(xb, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != network.input_dim:
-        raise ShapeError(f"expected [B, {network.input_dim}] inputs, got {xb.shape}")
+    if xb.ndim != 2 or xb.shape[1] != network.dims[0]:
+        raise ShapeError(f"expected [B, {network.dims[0]}] inputs, got {xb.shape}")
     pre, post = [], []
     a = xb
-    for layer, act in zip(network.layers, network.activations):
-        z = a @ layer.weights.T
-        z += layer.bias
+    for w, b, act in zip(network.weights, network.biases, network.activations):
+        z = a @ w.T
+        z += b
         if act == "relu":
             a = np.maximum(z, 0.0)
         elif act == "identity":
@@ -139,16 +106,20 @@ def forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
     return ForwardCache(xb, pre, post)
 
 
-def backward_batch(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> GradientSet:
-    """Backward pass for a batch cache; gradients are summed over the batch."""
+def backward_batch(network: Network, cache: ForwardCache, dl_dout: np.ndarray,
+                   grads: np.ndarray) -> np.ndarray:
+    """Backward pass for a batch cache; gradients are summed over the batch.
+
+    Writes them into `grads`, a vector in the parameter layout, and returns
+    it. The training loop passes the same vector every step, so the next call
+    overwrites it, and Adam and AdaGrad consume it: they leave their update
+    there."""
     dl_dout = np.asarray(dl_dout, dtype=np.float64)
     if dl_dout.shape != cache.post[-1].shape:
         raise ShapeError(f"expected output gradient of shape {cache.post[-1].shape}")
-    k = len(network.layers)
-    grads_w = [None] * k
-    grads_b = [None] * k
+    grads_w, grads_b = network.views(grads)
     delta = dl_dout
-    for i in reversed(range(k)):
+    for i in reversed(range(len(network.weights))):
         z = cache.pre[i]
         act = network.activations[i]
         if act == "relu":  # delta * (z > 0), with the mask made as float64 in place
@@ -161,21 +132,21 @@ def backward_batch(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -
             dz = delta - np.sum(p * delta, axis=1, keepdims=True)
             dz *= p
         a_in = cache.post[i - 1] if i > 0 else cache.x
-        grads_w[i] = dz.T @ a_in
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(dz.T, a_in, out=grads_w[i])
+        dz.sum(axis=0, out=grads_b[i])
         if i > 0:
-            delta = dz @ network.layers[i].weights
-    return GradientSet(grads_w, grads_b)
+            delta = dz @ network.weights[i]
+    return grads
 
 
 def save_checkpoint(network: Network, path):
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(network.layers)))
-        for layer in network.layers:
-            f.write(struct.pack("<II", layer.out_dim, layer.in_dim))
-            f.write(layer.weights.astype("<f8").tobytes(order="C"))
-            f.write(layer.bias.astype("<f8").tobytes())
+        f.write(struct.pack("<I", len(network.weights)))
+        for w, b in zip(network.weights, network.biases):
+            f.write(struct.pack("<II", *w.shape))
+            f.write(w.astype("<f8").tobytes(order="C"))
+            f.write(b.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -208,12 +179,12 @@ def load_checkpoint(path):
 
 
 def load_parameters(network: Network, pairs) -> Network:
-    """New network with this architecture and the given parameter pairs."""
-    if len(pairs) != len(network.layers):
-        raise ShapeError(f"checkpoint has {len(pairs)} layers, network has {len(network.layers)}")
-    layers = []
-    for layer, (w, b) in zip(network.layers, pairs):
-        if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-            raise ShapeError(f"checkpoint layer shape {w.shape} does not match {layer.weights.shape}")
-        layers.append(DenseLayer(w.copy(), b.copy()))
-    return Network(layers, list(network.activations))
+    """Copy the given (weights, bias) pairs into the network; returns it."""
+    if len(pairs) != len(network.weights):
+        raise ShapeError(f"checkpoint has {len(pairs)} layers, network has {len(network.weights)}")
+    for w, b, (w_new, b_new) in zip(network.weights, network.biases, pairs):
+        if w_new.shape != w.shape or b_new.shape != b.shape:
+            raise ShapeError(f"checkpoint layer shape {w_new.shape} does not match {w.shape}")
+        w[...] = w_new
+        b[...] = b_new
+    return network

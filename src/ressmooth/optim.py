@@ -5,8 +5,9 @@ gradient of weight matrices only, never biases) and a two-phase learning
 rate. Adam and AdaGrad are the canonical rules. Label smoothing is the
 target-side baseline.
 
-Every rule updates its state and the parameters in place, in the operation
-order of its textbook formula, so the bits are those of the fresh-array form.
+Every rule updates its state and the network's one parameter vector in
+place, in the operation order of its textbook formula, so the bits are those
+of the fresh-array form.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import GradientSet, Network
+from .nn import Network
 
 
 @dataclass(frozen=True)
@@ -69,81 +70,56 @@ def lr_at(config: SgdConfig, progress: float) -> float:
 
 
 # Elements per SGD block: 256 KiB of float64, so the five passes over a block
-# of weights, velocities and gradients run in L2 rather than from memory.
+# of parameters, velocities and gradients run in L2 rather than from memory.
 _BLOCK = 1 << 15
 
 
 class Sgd:
     def __init__(self, network: Network, config: SgdConfig):
         self.config = config
-        self.vel_w = [np.zeros_like(l.weights) for l in network.layers]
-        self.vel_b = [np.zeros_like(l.bias) for l in network.layers]
+        self.vel = np.zeros_like(network.params)
 
-    def step(self, network: Network, grads: GradientSet, progress: float):
-        # in place, in the operation order of w -= lr * (m * v + (g + wd * w)),
-        # one block of the flat views at a time
+    def step(self, network: Network, grads: np.ndarray, progress: float):
+        # in place, in the operation order of w -= lr * (m * v + (g + wd * w))
+        # for the weights and b -= lr * (m * v + g) for the biases, one block
+        # at a time; the blocks split at the end of the weight prefix
         cfg = self.config
         lr = lr_at(cfg, progress)
-        for i, layer in enumerate(network.layers):
-            w = layer.weights.reshape(-1)
-            v = self.vel_w[i].reshape(-1)
-            g = grads.weights[i].reshape(-1)
-            tmp = np.empty(min(w.size, _BLOCK))
-            for start in range(0, w.size, _BLOCK):
-                wb, vb = w[start:start + _BLOCK], v[start:start + _BLOCK]
-                t = tmp[:wb.size]
-                np.multiply(cfg.weight_decay, wb, out=t)
-                t += g[start:start + _BLOCK]
+        p, v, n_w = network.params, self.vel, network.n_weights
+        tmp = np.empty(min(p.size, _BLOCK))
+        for lo, hi, decay in ((0, n_w, True), (n_w, p.size, False)):
+            for start in range(lo, hi, _BLOCK):
+                end = min(start + _BLOCK, hi)
+                pb, vb, gb, t = p[start:end], v[start:end], grads[start:end], tmp[:end - start]
                 vb *= cfg.momentum
-                vb += t
+                if decay:
+                    np.multiply(cfg.weight_decay, pb, out=t)
+                    t += gb
+                    vb += t
+                else:
+                    vb += gb
                 np.multiply(lr, vb, out=t)
-                wb -= t
-            v = self.vel_b[i]
-            v *= cfg.momentum
-            v += grads.biases[i]
-            layer.bias -= lr * v
+                pb -= t
 
 
-class _FlatRule:
-    """Shared part of the rules that keep their state as flat vectors: each
-    step gathers the gradient into `self.g`, leaves the update there, and
-    subtracts it from the parameters through views shaped like them."""
-
-    def __init__(self, network: Network):
-        params = _flat_params(network)
-        n = sum(p.size for p in params)
-        self.g = np.empty(n)
-        self.tmp = np.empty(n)
-        self.updates, start = [], 0
-        for p in params:
-            self.updates.append(self.g[start:start + p.size].reshape(p.shape))
-            start += p.size
-
-    def _gather(self, grads: GradientSet):
-        return np.concatenate(_flat_grads(grads), axis=None, out=self.g)
-
-    def _apply(self, network: Network):
-        for param, update in zip(_flat_params(network), self.updates):
-            param -= update
-
-
-class Adam(_FlatRule):
+class Adam:
     def __init__(self, network: Network, config: AdamConfig):
-        super().__init__(network)
         self.config = config
         self.t = 0
-        self.m = np.zeros_like(self.g)
-        self.v = np.zeros_like(self.g)
+        self.m = np.zeros_like(network.params)
+        self.v = np.zeros_like(network.params)
+        self.tmp = np.empty_like(network.params)
 
-    def step(self, network: Network, grads: GradientSet, progress: float = 0.0):
+    def step(self, network: Network, grads: np.ndarray, progress: float = 0.0):
         # in place, in the operation order of m = b1 * m + (1 - b1) * g,
         # v = b2 * v + (1 - b2) * g * g and
-        # param -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # param -= lr * (m / bc1) / (sqrt(v / bc2) + eps); the update is
+        # built in the gradient vector
         cfg = self.config
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        g, m, v, tmp = self._gather(grads), self.m, self.v, self.tmp
+        g, m, v, tmp = grads, self.m, self.v, self.tmp
         m *= cfg.beta1
         np.multiply(1.0 - cfg.beta1, g, out=tmp)
         m += tmp
@@ -157,43 +133,28 @@ class Adam(_FlatRule):
         np.sqrt(tmp, out=tmp)
         tmp += cfg.eps
         g /= tmp
-        self._apply(network)
+        network.params -= g
 
 
-class AdaGrad(_FlatRule):
+class AdaGrad:
     def __init__(self, network: Network, config: AdaGradConfig):
-        super().__init__(network)
         self.config = config
-        self.acc = np.zeros_like(self.g)
+        self.acc = np.zeros_like(network.params)
+        self.tmp = np.empty_like(network.params)
 
-    def step(self, network: Network, grads: GradientSet, progress: float = 0.0):
+    def step(self, network: Network, grads: np.ndarray, progress: float = 0.0):
         # in place, in the operation order of acc += g * g and
-        # param -= lr * g / (sqrt(acc) + eps)
+        # param -= lr * g / (sqrt(acc) + eps); the update is built in the
+        # gradient vector
         cfg = self.config
-        g, acc, tmp = self._gather(grads), self.acc, self.tmp
+        g, acc, tmp = grads, self.acc, self.tmp
         np.multiply(g, g, out=tmp)
         acc += tmp
         g *= cfg.lr
         np.sqrt(acc, out=tmp)
         tmp += cfg.eps
         g /= tmp
-        self._apply(network)
-
-
-def _flat_params(network: Network):
-    out = []
-    for layer in network.layers:
-        out.append(layer.weights)
-        out.append(layer.bias)
-    return out
-
-
-def _flat_grads(grads: GradientSet):
-    out = []
-    for gw, gb in zip(grads.weights, grads.biases):
-        out.append(gw)
-        out.append(gb)
-    return out
+        network.params -= g
 
 
 # The optimizer set, written once: [optimizer] kind -> (config class, update

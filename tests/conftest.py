@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from ressmooth.data import Dataset
+from ressmooth.nn import Network, load_parameters
 
 FASHION_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -50,6 +51,12 @@ def fd_grad():
         return grads
 
     return _fd
+
+
+def net_of(pairs, activations):
+    """A network holding the given (weights, bias) pairs."""
+    dims = [pairs[0][0].shape[1], *(w.shape[0] for w, _ in pairs)]
+    return load_parameters(Network(dims, activations), pairs)
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ it goes through `nn.forward_batch`, `smoothing.batch_smoothed_loss_grad`,
 
 The `fresh_*` functions are those batch functions written with a fresh array
 per expression, in the same operation order as the in-place production code.
-The production code must equal them bitwise.
+The production code must equal them bitwise. Both backward passes return
+their gradient as one vector in the network's [W..., b...] parameter layout.
 """
 
 from typing import NamedTuple
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ressmooth.errors import ConfigError, InputError, ShapeError
-from ressmooth.nn import ForwardCache, GradientSet, Network
+from ressmooth.nn import ForwardCache, Network
 from ressmooth.smoothing import MODES, SmoothingConfig, sigmoid_scale
 
 # --- network ---------------------------------------------------------------------
@@ -33,14 +34,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def forward(network: Network, x: np.ndarray) -> ForwardCache:
     """Single-sample forward pass; caches every pre-activation and activation."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != network.input_dim:
-        raise ShapeError(f"expected input of length {network.input_dim}, got {x.shape}")
+    if x.ndim != 1 or x.shape[0] != network.dims[0]:
+        raise ShapeError(f"expected input of length {network.dims[0]}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("non-finite input")
     pre, post = [], []
     a = x
-    for layer, act in zip(network.layers, network.activations):
-        z = layer.weights @ a + layer.bias
+    for w, b, act in zip(network.weights, network.biases, network.activations):
+        z = w @ a + b
         if act == "relu":
             a = np.maximum(z, 0.0)
         elif act == "identity":
@@ -52,12 +53,13 @@ def forward(network: Network, x: np.ndarray) -> ForwardCache:
     return ForwardCache(x, pre, post)
 
 
-def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> GradientSet:
-    """Chain the output-gradient back through the cached forward pass."""
+def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> np.ndarray:
+    """Chain the output-gradient back through the cached forward pass; the
+    gradient comes back as one vector in the parameter layout."""
     dl_dout = np.asarray(dl_dout, dtype=np.float64)
-    if dl_dout.shape != (network.output_dim,):
-        raise ShapeError(f"expected output gradient of length {network.output_dim}")
-    k = len(network.layers)
+    if dl_dout.shape != (network.dims[-1],):
+        raise ShapeError(f"expected output gradient of length {network.dims[-1]}")
+    k = len(network.weights)
     grads_w = [None] * k
     grads_b = [None] * k
     delta = dl_dout
@@ -76,8 +78,8 @@ def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> Grad
         grads_w[i] = np.outer(dz, a_in)
         grads_b[i] = np.array(dz)
         if i > 0:
-            delta = network.layers[i].weights.T @ dz
-    return GradientSet(grads_w, grads_b)
+            delta = network.weights[i].T @ dz
+    return np.concatenate([g.ravel() for g in grads_w + grads_b])
 
 
 def fresh_softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -89,8 +91,8 @@ def fresh_softmax_rows(z: np.ndarray) -> np.ndarray:
 def fresh_forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
     pre, post = [], []
     a = xb
-    for layer, act in zip(network.layers, network.activations):
-        z = a @ layer.weights.T + layer.bias
+    for w, b, act in zip(network.weights, network.biases, network.activations):
+        z = a @ w.T + b
         if act == "relu":
             a = np.maximum(z, 0.0)
         elif act == "identity":
@@ -103,8 +105,8 @@ def fresh_forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
 
 
 def fresh_backward_batch(network: Network, cache: ForwardCache,
-                         dl_dout: np.ndarray) -> GradientSet:
-    k = len(network.layers)
+                         dl_dout: np.ndarray) -> np.ndarray:
+    k = len(network.weights)
     grads_w = [None] * k
     grads_b = [None] * k
     delta = dl_dout
@@ -122,8 +124,8 @@ def fresh_backward_batch(network: Network, cache: ForwardCache,
         grads_w[i] = dz.T @ a_in
         grads_b[i] = dz.sum(axis=0)
         if i > 0:
-            delta = dz @ network.layers[i].weights
-    return GradientSet(grads_w, grads_b)
+            delta = dz @ network.weights[i]
+    return np.concatenate([g.ravel() for g in grads_w + grads_b])
 
 
 # --- residual smoothing ------------------------------------------------------------

@@ -19,7 +19,7 @@ from ressmooth.annealing import AnnealSchedule, laplace_pdf_scaled, logistic_pdf
 from ressmooth.cli import main as cli_main
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.harness import prepare_data, run_trials, train, write_metrics_csv
-from ressmooth.nn import backward_batch, build_network, forward_batch, he_init, save_checkpoint
+from ressmooth.nn import backward_batch, build_network, forward_batch, save_checkpoint
 from ressmooth.optim import AdaGradConfig, AdamConfig, SgdConfig
 from ressmooth.smoothing import SmoothingConfig, batch_smoothed_loss_grad
 
@@ -83,7 +83,7 @@ def test_criterion_2_gradient_oracle():
     checked = 0
     for mode in ("global", "local", "global_local"):
         for _ in range(7):
-            net = he_init(build_network([20, 16, 10]), rng)
+            net = build_network([20, 16, 10], rng=rng)
             x = rng.uniform(0.0, 1.0, size=20)
             y = np.eye(10)[int(rng.integers(0, 10))]
             s_t = float(rng.uniform(0.3, 1.0))
@@ -96,7 +96,7 @@ def test_criterion_2_gradient_oracle():
                 xb, yb = xs[:b], ys[:b]
                 cache = forward_batch(net, xb)
                 _, grad, kappa = batch_smoothed_loss_grad(cache.prediction, yb, s_t, cfg)
-                analytic = backward_batch(net, cache, grad)
+                analytic = net.views(backward_batch(net, cache, grad, np.empty_like(net.params)))
                 ws = [smoothing_matrix(k) for k in kappa]
 
                 def loss():
@@ -104,8 +104,8 @@ def test_criterion_2_gradient_oracle():
                     return sum(smoothed_loss(d_i, w) for d_i, w in zip(d, ws))
 
                 h = 1e-6
-                for layer, gw, gb in zip(net.layers, analytic.weights, analytic.biases):
-                    for arr, grad_arr in ((layer.weights, gw), (layer.bias, gb)):
+                for w, b, gw, gb in zip(net.weights, net.biases, *analytic):
+                    for arr, grad_arr in ((w, gw), (b, gb)):
                         flat = arr.reshape(-1)
                         gflat = grad_arr.reshape(-1)
                         fd = np.empty_like(gflat)

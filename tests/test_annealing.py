@@ -39,13 +39,6 @@ def test_laplace_monotone_decay():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_pdf_scale_validation():
-    with pytest.raises(ConfigError):
-        logistic_pdf_scaled(0.5, 0.5, 0.0)
-    with pytest.raises(ConfigError):
-        laplace_pdf_scaled(0.5, 0.5, -1.0)
-
-
 def test_scale_at_kinds():
     assert scale_at(AnnealSchedule(kind="off"), 0.3) == 0.0
     assert scale_at(AnnealSchedule(kind="constant", const_s=0.4), 0.9) == 0.4

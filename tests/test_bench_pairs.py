@@ -1,0 +1,49 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+# per side, the values of each call: a warm-up run, then pairs 1-3
+RUN_S = {"parent": [9.0, 2.0, 2.0, 2.0], "change": [9.0, 1.5, 2.0, 2.5]}
+VAL_ACC = {"parent": [0.0, 90.0, 90.0, 90.0], "change": [0.0, 91.0, 90.0, 89.0]}
+SRC_LINES = {"parent": 1554, "change": 1460}
+
+
+def test_summary_counts_strict_wins_and_carries_src_lines(tmp_path, monkeypatch):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+    calls = {"parent": 0, "change": 0}
+
+    def run_once(checkout, workload, seed, seconds, trace, size):
+        side = "parent" if checkout == sides["parent"].resolve() else "change"
+        k = calls[side]
+        calls[side] += 1
+        return {"facts": {"src_lines": SRC_LINES[side], "outputs_sha256": {"a": "0"}},
+                "metrics": {"run_s": RUN_S[side][k], "val_acc_max": VAL_ACC[side][k]},
+                "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workloads", "many_class", "--pairs", "3",
+                             "--out", str(out)]) == 0
+    assert calls == {"parent": 4, "change": 4}
+    report = json.loads(out.read_text())
+    summary = report["summary"]["many_class-seed17"]
+    # run_s is lower-better and val_acc_max higher-better (BENCHMARK.json);
+    # in each, one pair is a win, one a tie and one a loss
+    assert summary["run_s"]["change_wins"] == 1
+    assert summary["val_acc_max"]["change_wins"] == 1
+    assert summary["run_s"]["pairs"] == 3
+    assert summary["run_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert summary["src_lines"] == SRC_LINES
+    pairs = report["pairs"]["many_class-seed17"]
+    assert [p["change"]["run_s"] for p in pairs] == [1.5, 2.0, 2.5]
+    assert all(p["outputs_identical"] for p in pairs)

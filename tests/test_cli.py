@@ -159,11 +159,15 @@ def test_damaged_gzip_exits_nonzero(tiny_corpus, tmp_path, capsys):
     assert main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "ti.gz" in err
+    assert not (tmp_path / "out").exists()
 
 
-def test_bad_grid_flag_exits_nonzero(tiny_corpus, capsys):
-    assert main(["grid", "--config", str(tiny_corpus), "--b-grid", "a,b"]) == 2
+def test_bad_grid_flag_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
+                 "--b-grid", "a,b"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--b-grid", "inf"), ("--b-grid", "0.5,-inf"),
@@ -172,7 +176,7 @@ def test_non_finite_grid_value_exits_nonzero(tiny_corpus, tmp_path, capsys, flag
     out = tmp_path / "out"
     assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out), flag, value]) == 2
     assert f"error: {flag} {value!r} lists a non-finite value" in capsys.readouterr().err
-    assert not (out / "grid.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("b_grid, alpha_grid, name", [("0.5,0.3,0.5", "1", "b"),
@@ -184,7 +188,7 @@ def test_grid_with_a_repeated_value_exits_nonzero(tiny_corpus, tmp_path, capsys,
                  "--b-grid", b_grid, "--alpha-grid", alpha_grid])
     assert code == 2
     assert f"error: {name} grid" in capsys.readouterr().err
-    assert not (out / "grid.csv").exists()
+    assert not out.exists()
 
 
 def test_grid_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
@@ -194,7 +198,20 @@ def test_grid_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
                  "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
     assert code == 2
     assert "error: smoothing mode off has no (b, alpha) to search" in capsys.readouterr().err
-    assert not (out / "grid.csv").exists()
+    assert not out.exists()
+
+
+def test_grid_over_an_unread_axis_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    # a constant schedule never reads b, so both b points would train alike
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("schedule = laplace",
+                                                           "schedule = constant"))
+    out = tmp_path / "out"
+    code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
+                 "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
+    assert code == 2
+    assert ("error: smoothing mode global_local with schedule constant never reads b"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cifar_kind_with_augmentation(tmp_path, capsys):

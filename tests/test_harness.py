@@ -4,15 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import read_csv, write_idx_pair
+from conftest import net_of, read_csv, write_idx_pair
+from ressmooth import harness
 from ressmooth.annealing import AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.data import features, load_cifar10_bin, load_idx, subsample, take_uniform
 from ressmooth.errors import ConfigError, InputError, TrainingError
-from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, evaluate,
-                               grid_search, prepare_data, run_trials, substream,
-                               summarize, train, write_aggregate_csv, write_metrics_csv)
-from ressmooth.nn import DenseLayer, Network, build_network
+from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, TrialAggregate,
+                               TrialRow, evaluate, grid_search, prepare_data, run_trials,
+                               substream, summarize, train, write_aggregate_csv,
+                               write_metrics_csv)
+from ressmooth.nn import build_network
 from ressmooth.optim import SgdConfig
 from ressmooth.smoothing import SmoothingConfig
 
@@ -145,9 +147,7 @@ def test_mode_off_matches_schedule_forced_to_zero(make_blobs):
     net_zero, metrics_zero = train(
         blob_config(epochs=5, mode="global_local", schedule_kind="off", alpha=1.0), 3, pair)
     assert metrics_off == metrics_zero
-    for a, b in zip(net_off.layers, net_zero.layers):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
+    assert net_off.params.tobytes() == net_zero.params.tobytes()
 
 
 def test_training_is_deterministic(make_blobs):
@@ -156,8 +156,7 @@ def test_training_is_deterministic(make_blobs):
     net_a, metrics_a = train(cfg, 5, pair)
     net_b, metrics_b = train(cfg, 5, pair)
     assert metrics_a == metrics_b
-    for a, b in zip(net_a.layers, net_b.layers):
-        assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(net_a.params, net_b.params)
 
 
 def test_mode_off_reduces_to_reference_mse_sgd(make_blobs):
@@ -165,18 +164,17 @@ def test_mode_off_reduces_to_reference_mse_sgd(make_blobs):
     # rng substreams, must reproduce the production baseline path bit for bit
     from ressmooth.data import batches
     from ressmooth.harness import substream
-    from ressmooth.nn import build_network, he_init
 
     pair = blob_pair(make_blobs)
     train_ds, _ = pair
     cfg = blob_config(epochs=2, batch_size=16)
     produced, _ = train(cfg, 11, pair)
 
-    net = he_init(build_network([train_ds.feature_count, 8, train_ds.class_count]),
-                  substream(11, "init"))
+    net = build_network([train_ds.feature_count, 8, train_ds.class_count],
+                        rng=substream(11, "init"))
     shuffle = substream(11, "shuffle")
-    w1, b1 = net.layers[0].weights.copy(), net.layers[0].bias.copy()
-    w2, b2 = net.layers[1].weights.copy(), net.layers[1].bias.copy()
+    w1, b1 = net.weights[0].copy(), net.biases[0].copy()
+    w2, b2 = net.weights[1].copy(), net.biases[1].copy()
     vw1, vb1 = np.zeros_like(w1), np.zeros_like(b1)
     vw2, vb2 = np.zeros_like(w2), np.zeros_like(b2)
     targets = np.eye(train_ds.class_count)[train_ds.labels]
@@ -206,10 +204,10 @@ def test_mode_off_reduces_to_reference_mse_sgd(make_blobs):
             vb2 = opt.momentum * vb2 + gb2
             b2 = b2 - lr * vb2
             t += 1
-    assert np.array_equal(produced.layers[0].weights, w1)
-    assert np.array_equal(produced.layers[0].bias, b1)
-    assert np.array_equal(produced.layers[1].weights, w2)
-    assert np.array_equal(produced.layers[1].bias, b2)
+    assert np.array_equal(produced.weights[0], w1)
+    assert np.array_equal(produced.biases[0], b1)
+    assert np.array_equal(produced.weights[1], w2)
+    assert np.array_equal(produced.biases[1], b2)
 
 
 def test_schedule_peaks_near_three_quarters_of_epochs(make_blobs):
@@ -253,9 +251,7 @@ def test_local_mode_trains_with_kappa_under_its_fixed_scale(make_blobs):
     assert any(m.mean_kappa > 0.0 for m in metrics_a)
     assert all(m.mean_kappa <= 0.3 for m in metrics_a)
     assert metrics_a == metrics_b
-    for layer_a, layer_b in zip(net_a.layers, net_b.layers):
-        assert np.array_equal(layer_a.weights, layer_b.weights)
-        assert np.array_equal(layer_a.bias, layer_b.bias)
+    assert net_a.params.tobytes() == net_b.params.tobytes()
 
 
 def test_label_smoothing_trains(make_blobs):
@@ -289,7 +285,7 @@ def test_augmentation_path_is_deterministic_and_active():
     net_a, metrics_a = train(cfg, 0, pair)
     net_b, metrics_b = train(cfg, 0, pair)
     assert metrics_a == metrics_b
-    assert np.array_equal(net_a.layers[0].weights, net_b.layers[0].weights)
+    assert np.array_equal(net_a.weights[0], net_b.weights[0])
     plain_cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(spec, augment=False))
     net_c, metrics_c = train(plain_cfg, 0, pair)
     assert metrics_c != metrics_a  # augmentation really perturbs the inputs
@@ -303,8 +299,7 @@ def test_train_rejects_empty_split(make_blobs):
 
 
 def _same_network(net_a, net_b):
-    return all(a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
-               for a, b in zip(net_a.layers, net_b.layers))
+    return net_a.params.tobytes() == net_b.params.tobytes()
 
 
 def test_training_on_codes_equals_training_on_scaled_features(make_blobs):
@@ -364,8 +359,7 @@ def test_evaluate_uniform_network_hits_class_zero_frequency(make_blobs):
 
 def test_evaluate_shuffle_invariant(make_blobs):
     test_ds = blob_pair(make_blobs)[1]
-    net = Network([DenseLayer(np.random.default_rng(0).normal(size=(2, 4)), np.zeros(2))],
-                  ["softmax"])
+    net = net_of([(np.random.default_rng(0).normal(size=(2, 4)), np.zeros(2))], ["softmax"])
     perm = np.random.default_rng(1).permutation(test_ds.n)
     shuffled = dataclasses.replace(test_ds, inputs=test_ds.inputs[perm],
                                    labels=test_ds.labels[perm])
@@ -385,10 +379,10 @@ def test_summarize_tail_window():
     rows = [EpochMetrics(i, 0.0, 0.0, float(v), 0.0, 0.0)
             for i, v in enumerate([50, 60, 80, 70, 75, 72, 71, 74, 73, 76,
                                    77, 78, 79, 80, 81, 82, 83, 84, 85, 86])]
-    summary = summarize(rows)
-    assert summary.max_val_acc == 86.0
-    assert summary.tail_mean_val_acc == 85.5  # mean of the last 2 of 20
-    assert summary.tail_mean_val_acc <= summary.max_val_acc
+    max_val_acc, tail_mean_val_acc = summarize(rows)
+    assert max_val_acc == 86.0
+    assert tail_mean_val_acc == 85.5  # mean of the last 2 of 20
+    assert tail_mean_val_acc <= max_val_acc
 
 
 def test_run_trials_single_trial_equals_train(make_blobs):
@@ -396,11 +390,11 @@ def test_run_trials_single_trial_equals_train(make_blobs):
     cfg = blob_config(epochs=5, trials=1)
     aggregate = run_trials(cfg, pair)
     _, metrics = train(cfg, cfg.base_seed, pair)
-    summary = summarize(metrics)
+    max_val_acc, tail_mean_val_acc = summarize(metrics)
     assert len(aggregate.rows) == 1
-    assert aggregate.rows[0].max_val_acc == summary.max_val_acc
-    assert aggregate.mean_max_val_acc == summary.max_val_acc
-    assert aggregate.mean_tail_val_acc == summary.tail_mean_val_acc
+    assert aggregate.rows[0].max_val_acc == max_val_acc
+    assert aggregate.mean_max_val_acc == max_val_acc
+    assert aggregate.mean_tail_val_acc == tail_mean_val_acc
 
 
 def test_run_trials_mean_of_max_dominates(make_blobs):
@@ -426,14 +420,14 @@ def test_grid_single_point_equals_run_trials(make_blobs, monkeypatch):
     monkeypatch.setattr("ressmooth.harness.prepare_data", lambda cfg: pair)
     cfg = blob_config(epochs=4, trials=1, mode="global_local",
                       schedule_kind="laplace", alpha=1.0)
-    result = grid_search(cfg, [0.5], [1.0])
-    assert len(result.points) == 1
+    points, best = grid_search(cfg, [0.5], [1.0])
+    assert len(points) == 1
     direct = run_trials(dataclasses.replace(
         cfg,
         schedule=dataclasses.replace(cfg.schedule, b=0.5),
         smoothing=dataclasses.replace(cfg.smoothing, alpha=1.0)), pair)
-    assert result.points[0].aggregate.rows == direct.rows
-    assert result.best.b == 0.5
+    assert points[0].rows == direct.rows
+    assert best is points[0] and best.rows[0].b == 0.5
 
 
 def test_grid_shape_and_tags(make_blobs, monkeypatch):
@@ -441,23 +435,55 @@ def test_grid_shape_and_tags(make_blobs, monkeypatch):
     monkeypatch.setattr("ressmooth.harness.prepare_data", lambda cfg: pair)
     cfg = blob_config(epochs=2, trials=2, mode="global_local",
                       schedule_kind="laplace", alpha=1.0)
-    result = grid_search(cfg, [0.3, 0.1], [2.0, 1.0])
-    assert len(result.points) == 4
-    assert [(p.b, p.alpha) for p in result.points] == [(0.1, 1.0), (0.1, 2.0),
-                                                       (0.3, 1.0), (0.3, 2.0)]
-    for point in result.points:
-        for row in point.aggregate.rows:
-            assert (row.b, row.alpha) == (point.b, point.alpha)
+    points, best = grid_search(cfg, [0.3, 0.1], [2.0, 1.0])
+    assert [[(r.b, r.alpha, r.trial) for r in p.rows] for p in points] == [
+        [(b, alpha, k) for k in range(2)]
+        for b, alpha in [(0.1, 1.0), (0.1, 2.0), (0.3, 1.0), (0.3, 2.0)]]
+    assert best in points
 
 
-def test_grid_tie_break_prefers_smallest(make_blobs, monkeypatch):
-    pair = blob_pair(make_blobs)
-    monkeypatch.setattr("ressmooth.harness.prepare_data", lambda cfg: pair)
-    # constant schedule ignores b entirely, so all b values tie exactly
-    cfg = blob_config(epochs=2, trials=1, mode="global", schedule_kind="constant")
-    result = grid_search(cfg, [0.7, 0.3], [1.0])
-    assert result.points[0].aggregate.mean_max_val_acc == result.points[1].aggregate.mean_max_val_acc
-    assert result.best.b == 0.3
+def _equal_aggregate(cfg, dataset_pair):
+    """What run_trials returns, with the same accuracy at every grid point."""
+    row = TrialRow(cfg.schedule.b, cfg.smoothing.alpha, 0, 50.0, 40.0)
+    return TrialAggregate((row,), 50.0, 40.0, ((),), (None,))
+
+
+def test_grid_tie_break_prefers_smallest(monkeypatch):
+    monkeypatch.setattr(harness, "prepare_data", lambda cfg: None)
+    monkeypatch.setattr(harness, "run_trials", _equal_aggregate)
+    cfg = blob_config(mode="global_local", schedule_kind="laplace", alpha=1.0)
+    points, best = grid_search(cfg, [0.7, 0.3], [2.0, 0.5])
+    assert [(p.rows[0].b, p.rows[0].alpha) for p in points] == [(0.3, 0.5), (0.3, 2.0),
+                                                                (0.7, 0.5), (0.7, 2.0)]
+    assert best is points[0]
+
+
+@pytest.mark.parametrize("mode, kind, const_s, b_values, alpha_values, unread", [
+    ("global", "constant", 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global", "off", 1.0, [0.7, 0.3], [1.0], "b"),
+    ("local", "laplace", 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global_local", "constant", 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global", "laplace", 1.0, [0.5], [1.0, 2.0], "alpha"),
+    ("global_local", "off", 1.0, [0.5], [1.0, 2.0], "alpha"),
+    ("global_local", "constant", 0.0, [0.5], [1.0, 2.0], "alpha"),
+    ("global", "logistic", 1.0, [0.7, 0.3], [1.0], None),
+    ("global_local", "laplace", 1.0, [0.7, 0.3], [1.0, 2.0], None),
+    ("global_local", "constant", 0.5, [0.5], [1.0, 2.0], None),
+    ("local", "off", 1.0, [0.5], [1.0, 2.0], None),
+    ("global", "constant", 1.0, [0.5], [1.0], None),
+])
+def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
+        monkeypatch, mode, kind, const_s, b_values, alpha_values, unread):
+    monkeypatch.setattr(harness, "prepare_data", lambda cfg: None)
+    monkeypatch.setattr(harness, "run_trials", _equal_aggregate)
+    cfg = blob_config(mode=mode, alpha=1.0)
+    cfg = dataclasses.replace(cfg, schedule=AnnealSchedule(kind=kind, const_s=const_s))
+    if unread is None:
+        points, _ = grid_search(cfg, b_values, alpha_values)
+        assert len(points) == len(b_values) * len(alpha_values)
+    else:
+        with pytest.raises(ConfigError, match=f"never reads {unread}: every point"):
+            grid_search(cfg, b_values, alpha_values)
 
 
 def test_grid_rejects_empty(make_blobs):

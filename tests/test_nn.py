@@ -1,33 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import net_of
 from oracles import (backward, forward, fresh_backward_batch, fresh_forward_batch,
                      fresh_softmax_rows)
 from ressmooth.errors import FormatError, ShapeError
-from ressmooth.nn import (DenseLayer, Network, backward_batch, build_network, forward_batch,
-                          he_init, load_checkpoint, load_parameters, save_checkpoint)
+from ressmooth.nn import (Network, backward_batch, build_network, forward_batch,
+                          load_checkpoint, load_parameters, save_checkpoint)
+
+
+layer_dims = st.lists(st.integers(1, 40), min_size=3, max_size=5)  # 2-4 layers
 
 
 def random_net(dims, output_activation="softmax", seed=0):
-    return he_init(build_network(dims, output_activation=output_activation),
-                   np.random.default_rng(seed))
+    return build_network(dims, output_activation, np.random.default_rng(seed))
 
 
 # --- initialization -------------------------------------------------------------
 
 def test_he_init_std_and_biases():
     net = random_net([100, 50], seed=1)
-    draws = net.layers[0].weights.ravel()  # 5000 draws
+    draws = net.weights[0].ravel()  # 5000 draws
     target = np.sqrt(2.0 / 100.0)
     assert abs(np.std(draws) - target) < 0.1 * target
-    assert np.array_equal(net.layers[0].bias, np.zeros(50))
+    assert np.array_equal(net.biases[0], np.zeros(50))
 
 
 def test_he_init_deterministic_per_seed():
     a = random_net([20, 10, 5], seed=7)
     b = random_net([20, 10, 5], seed=7)
-    for la, lb in zip(a.layers, b.layers):
-        assert np.array_equal(la.weights, lb.weights)
+    assert np.array_equal(a.params, b.params)
+    assert not np.array_equal(a.params, random_net([20, 10, 5], seed=8).params)
 
 
 # --- forward ---------------------------------------------------------------------
@@ -35,21 +40,21 @@ def test_he_init_deterministic_per_seed():
 # a multi-row batch.
 
 def test_forward_identity_layer():
-    net = Network([DenseLayer(np.eye(3), np.zeros(3))], ["identity"])
+    net = net_of([(np.eye(3), np.zeros(3))], ["identity"])
     xb = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]])
     for rows in (1, 2):
         assert np.array_equal(forward_batch(net, xb[:rows]).prediction, xb[:rows])
 
 
 def test_forward_relu():
-    net = Network([DenseLayer(np.eye(2), np.zeros(2))], ["relu"])
+    net = net_of([(np.eye(2), np.zeros(2))], ["relu"])
     xb = np.array([[-1.0, 2.0], [3.0, -4.0]])
     assert forward_batch(net, xb[:1]).prediction.tolist() == [[0.0, 2.0]]
     assert forward_batch(net, xb).prediction.tolist() == [[0.0, 2.0], [3.0, 0.0]]
 
 
 def test_forward_softmax_symmetry():
-    net = Network([DenseLayer(np.eye(2), np.zeros(2))], ["softmax"])
+    net = net_of([(np.eye(2), np.zeros(2))], ["softmax"])
     xb = np.array([[0.0, 0.0], [7.5, 7.5], [-3.0, -3.0]])
     assert forward_batch(net, xb[:1]).prediction.tolist() == [[0.5, 0.5]]
     assert forward_batch(net, xb).prediction.tolist() == [[0.5, 0.5]] * 3
@@ -66,8 +71,8 @@ def test_softmax_normalization_and_range():
 
 def test_softmax_shift_invariance():
     w = np.random.default_rng(3).normal(size=(5, 4))
-    net_plain = Network([DenseLayer(w, np.zeros(5))], ["softmax"])
-    net_shifted = Network([DenseLayer(w, np.full(5, 123.0))], ["softmax"])
+    net_plain = net_of([(w, np.zeros(5))], ["softmax"])
+    net_shifted = net_of([(w, np.full(5, 123.0))], ["softmax"])
     xb = np.array([[0.1, -0.4, 0.9, 0.2], [2.0, 0.5, -1.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
     for rows in (1, 3):
         a = forward_batch(net_plain, xb[:rows]).prediction
@@ -99,19 +104,20 @@ def test_backward_zero_gradient():
     net = random_net([5, 3])
     xb = np.random.default_rng(8).random((4, 5))
     for rows in (1, 4):
-        grads = backward_batch(net, forward_batch(net, xb[:rows]), np.zeros((rows, 3)))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights + grads.biases)
+        grads = backward_batch(net, forward_batch(net, xb[:rows]), np.zeros((rows, 3)),
+                               np.full_like(net.params, np.nan))
+        assert np.array_equal(grads, np.zeros_like(net.params))
 
 
 def test_backward_linear_sum_loss():
     # identity net, loss = sum over rows of sum(h): dL/dW = sum_b outer(1, x_b), dL/db = B
-    net = Network([DenseLayer(np.eye(3), np.zeros(3))], ["identity"])
+    net = net_of([(np.eye(3), np.zeros(3))], ["identity"])
     xb = np.array([[0.2, -0.6, 1.5], [1.0, 0.5, -2.0]])
     for rows in (1, 2):
-        grads = backward_batch(net, forward_batch(net, xb[:rows]), np.ones((rows, 3)))
-        assert np.allclose(grads.weights[0], np.outer(np.ones(3), xb[:rows].sum(axis=0)),
-                           atol=1e-15)
-        assert grads.biases[0].tolist() == [float(rows)] * 3
+        gw, gb = net.views(backward_batch(net, forward_batch(net, xb[:rows]),
+                                          np.ones((rows, 3)), np.empty_like(net.params)))
+        assert np.allclose(gw[0], np.outer(np.ones(3), xb[:rows].sum(axis=0)), atol=1e-15)
+        assert gb[0].tolist() == [float(rows)] * 3
 
 
 @pytest.mark.parametrize("output_activation", ["identity", "softmax"])
@@ -125,21 +131,20 @@ def test_backward_matches_finite_differences(fd_grad, output_activation):
         def loss():
             return float(np.sum(directions * forward_batch(net, xb).prediction))
 
-        analytic = backward_batch(net, forward_batch(net, xb), directions)
-        params = [p for layer in net.layers for p in (layer.weights, layer.bias)]
-        fd = fd_grad(loss, params)
-        got = [g for pair in zip(analytic.weights, analytic.biases) for g in pair]
-        for a, b in zip(got, fd):
-            assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
+        analytic = backward_batch(net, forward_batch(net, xb), directions,
+                                  np.empty_like(net.params))
+        (fd,) = fd_grad(loss, [net.params])
+        assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_backward_shape_validation():
     net = random_net([4, 2])
     cache = forward_batch(net, np.zeros((2, 4)))
+    grads = np.empty_like(net.params)
     with pytest.raises(ShapeError):
-        backward_batch(net, cache, np.zeros((2, 3)))
+        backward_batch(net, cache, np.zeros((2, 3)), grads)
     with pytest.raises(ShapeError):
-        backward_batch(net, cache, np.zeros((1, 2)))
+        backward_batch(net, cache, np.zeros((1, 2)), grads)
 
 
 # --- batch path vs the per-sample oracle --------------------------------------------
@@ -158,17 +163,11 @@ def test_backward_batch_sums_per_sample_gradients():
     rng = np.random.default_rng(14)
     xb = rng.random((6, 9))
     gb = rng.normal(size=(6, 5))
-    batch = backward_batch(net, forward_batch(net, xb), gb)
-    acc_w = [np.zeros_like(l.weights) for l in net.layers]
-    acc_b = [np.zeros_like(l.bias) for l in net.layers]
+    batch = backward_batch(net, forward_batch(net, xb), gb, np.empty_like(net.params))
+    acc = np.zeros_like(net.params)
     for i in range(6):
-        single = backward(net, forward(net, xb[i]), gb[i])
-        for j in range(len(net.layers)):
-            acc_w[j] += single.weights[j]
-            acc_b[j] += single.biases[j]
-    for j in range(len(net.layers)):
-        assert np.allclose(batch.weights[j], acc_w[j], rtol=1e-10, atol=1e-12)
-        assert np.allclose(batch.biases[j], acc_b[j], rtol=1e-10, atol=1e-12)
+        acc += backward(net, forward(net, xb[i]), gb[i])
+    assert np.allclose(batch, acc, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("output_activation", ["softmax", "identity"])
@@ -184,16 +183,14 @@ def test_batch_passes_bitwise_match_fresh_array_forms(output_activation):
     for got_list, want_list in ((cache.pre, want.pre), (cache.post, want.post)):
         for g, w in zip(got_list, want_list):
             assert g.tobytes() == w.tobytes()
-    got_grads = backward_batch(net, cache, gb.copy())
-    want_grads = fresh_backward_batch(net, want, gb)
-    for g, w in zip(got_grads.weights + got_grads.biases, want_grads.weights + want_grads.biases):
-        assert g.tobytes() == w.tobytes()
+    got_grads = backward_batch(net, cache, gb.copy(), np.empty_like(net.params))
+    assert got_grads.tobytes() == fresh_backward_batch(net, want, gb).tobytes()
 
 
 def test_softmax_rows_bitwise_matches_fresh_array_form():
     rng = np.random.default_rng(17)
     z = np.concatenate([rng.normal(0.0, 30.0, size=(20, 10)), np.full((1, 10), -745.0)])
-    net = Network([DenseLayer(np.eye(10), np.zeros(10))], ["softmax"])
+    net = net_of([(np.eye(10), np.zeros(10))], ["softmax"])
     cache = forward_batch(net, z)
     assert cache.prediction.tobytes() == fresh_softmax_rows(cache.pre[0]).tobytes()
 
@@ -201,24 +198,32 @@ def test_softmax_rows_bitwise_matches_fresh_array_form():
 # --- architecture validation ------------------------------------------------------
 
 def test_network_chain_validation():
-    good = DenseLayer(np.zeros((3, 4)), np.zeros(3))
-    bad = DenseLayer(np.zeros((2, 5)), np.zeros(2))
     with pytest.raises(ShapeError):
-        Network([good, bad], ["relu", "softmax"])
+        Network([4, 3, 2], ["softmax"])  # two layers, one activation
     with pytest.raises(ShapeError):
-        Network([good], ["sigmoid"])
+        Network([4], [])
+    with pytest.raises(ShapeError):
+        Network([4, 3], ["sigmoid"])
+    with pytest.raises(ShapeError):  # the pairs do not chain 4 -> 3 -> 2
+        net_of([(np.zeros((3, 4)), np.zeros(3)), (np.zeros((2, 5)), np.zeros(2))],
+               ["relu", "softmax"])
 
 
 # --- checkpoints -------------------------------------------------------------------
 
-def test_checkpoint_round_trip(tmp_path):
-    net = random_net([12, 8, 3], seed=15)
-    path = tmp_path / "net.rsm"
+@settings(max_examples=40, deadline=None)
+@given(dims=layer_dims, seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip(tmp_path_factory, dims, seed):
+    rng = np.random.default_rng(seed)
+    net = build_network(dims)
+    net.params[:] = rng.normal(size=net.params.size)
+    net.params[rng.integers(0, net.params.size)] = -0.0
+    path = tmp_path_factory.mktemp("ckpt") / "net.rsm"
     save_checkpoint(net, path)
-    restored = load_parameters(build_network([12, 8, 3]), load_checkpoint(path))
-    for orig, back in zip(net.layers, restored.layers):
-        assert np.array_equal(orig.weights, back.weights)
-        assert np.array_equal(orig.bias, back.bias)
+    restored = load_parameters(build_network(dims), load_checkpoint(path))
+    assert restored.params.tobytes() == net.params.tobytes()
+    save_checkpoint(restored, path.with_suffix(".again"))
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -253,3 +258,42 @@ def test_load_parameters_shape_mismatch(tmp_path):
     save_checkpoint(net, path)
     with pytest.raises(ShapeError):
         load_parameters(build_network([4, 3]), load_checkpoint(path))
+
+
+# --- the flat parameter layout -------------------------------------------------------
+
+def _offset(view, flat):
+    return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=layer_dims)
+def test_views_tile_the_vector_weights_first(dims):
+    net = build_network(dims)
+    grads = np.empty_like(net.params)
+    for flat, (weights, biases) in ((net.params, (net.weights, net.biases)),
+                                    (grads, net.views(grads))):
+        at = 0
+        for view, shape in [*zip(weights, net.shapes), *zip(biases, [s[:1] for s in net.shapes])]:
+            assert view.shape == shape and view.flags.c_contiguous
+            assert np.shares_memory(view, flat) and _offset(view, flat) == at
+            at += view.size
+        assert at == flat.size
+    assert net.n_weights == sum(w.size for w in net.weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=layer_dims, rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       output_activation=st.sampled_from(["softmax", "identity"]))
+def test_backward_into_the_views_bitwise_matches_fresh_arrays(dims, rows, seed,
+                                                               output_activation):
+    rng = np.random.default_rng(seed)
+    net = build_network(dims, output_activation, rng)
+    net.params[net.n_weights:] = rng.normal(size=net.params.size - net.n_weights)
+    xb = rng.normal(size=(rows, dims[0]))
+    gb = rng.normal(size=(rows, dims[-1]))
+    gb[0, 0] = -0.0
+    grads = np.full_like(net.params, np.nan)
+    got = backward_batch(net, forward_batch(net, xb), gb.copy(), grads)
+    assert got is grads
+    assert got.tobytes() == fresh_backward_batch(net, fresh_forward_batch(net, xb), gb).tobytes()

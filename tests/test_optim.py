@@ -1,19 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import net_of
 from ressmooth.errors import ConfigError
-from ressmooth.nn import DenseLayer, GradientSet, Network
+from ressmooth.nn import build_network
 from ressmooth.optim import (_BLOCK, OPTIMIZERS, AdaGrad, AdaGradConfig, Adam, AdamConfig,
                              Sgd, SgdConfig, label_smooth, lr_at, make_optimizer)
 
 
 def scalar_net(w=1.0, b=0.0):
-    return Network([DenseLayer(np.array([[w]]), np.array([b]))], ["identity"])
+    return net_of([(np.array([[w]]), np.array([b]))], ["identity"])
 
 
 def grads_of(net, gw_value=0.0, gb_value=0.0):
-    return GradientSet([np.full_like(l.weights, gw_value) for l in net.layers],
-                       [np.full_like(l.bias, gb_value) for l in net.layers])
+    """A gradient vector: gw_value on every weight, gb_value on every bias."""
+    grads = np.full_like(net.params, gb_value)
+    grads[:net.n_weights] = gw_value
+    return grads
+
+
+def random_net(dims, seed):
+    """Random weights and biases; hidden layers relu, identity output."""
+    net = build_network(dims, "identity")
+    net.params[:] = np.random.default_rng(seed).normal(size=net.params.size)
+    return net
 
 
 # --- learning rate schedule ------------------------------------------------------
@@ -37,32 +49,31 @@ def test_sgd_noop_without_gradient_or_decay():
     net = scalar_net(w=1.3)
     opt = Sgd(net, SgdConfig(momentum=0.0, weight_decay=0.0))
     opt.step(net, grads_of(net), progress=0.0)
-    assert net.layers[0].weights[0, 0] == 1.3
+    assert net.weights[0][0, 0] == 1.3
 
 
 def test_sgd_weight_decay_hand_case():
     net = scalar_net(w=1.0)
     opt = Sgd(net, SgdConfig(momentum=0.0, weight_decay=0.1))
     opt.step(net, grads_of(net), progress=0.0)  # lr 0.1: w' = 1 - 0.1 * 0.1
-    assert net.layers[0].weights[0, 0] == pytest.approx(0.99, abs=1e-15)
+    assert net.weights[0][0, 0] == pytest.approx(0.99, abs=1e-15)
 
 
 def test_sgd_biases_escape_weight_decay():
     net = scalar_net(w=1.0, b=1.0)
     opt = Sgd(net, SgdConfig(momentum=0.0, weight_decay=0.1))
     opt.step(net, grads_of(net), progress=0.0)
-    assert net.layers[0].weights[0, 0] != 1.0
-    assert net.layers[0].bias[0] == 1.0
+    assert net.weights[0][0, 0] != 1.0
+    assert net.biases[0][0] == 1.0
 
 
 def test_sgd_decay_only_norm_strictly_decreases():
-    net = Network([DenseLayer(np.random.default_rng(0).normal(size=(4, 4)), np.zeros(4))],
-                  ["identity"])
+    net = net_of([(np.random.default_rng(0).normal(size=(4, 4)), np.zeros(4))], ["identity"])
     opt = Sgd(net, SgdConfig(momentum=0.0, weight_decay=0.01))
-    norms = [float(np.linalg.norm(net.layers[0].weights))]
+    norms = [float(np.linalg.norm(net.weights[0]))]
     for _ in range(50):
         opt.step(net, grads_of(net), progress=0.0)
-        norms.append(float(np.linalg.norm(net.layers[0].weights)))
+        norms.append(float(np.linalg.norm(net.weights[0])))
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
@@ -71,93 +82,105 @@ def test_sgd_momentum_accumulates():
     opt = Sgd(net, SgdConfig(momentum=0.5, weight_decay=0.0))
     opt.step(net, grads_of(net, gw_value=1.0), progress=0.0)  # v=1, w=-0.1
     opt.step(net, grads_of(net, gw_value=1.0), progress=0.0)  # v=1.5, w=-0.25
-    assert net.layers[0].weights[0, 0] == pytest.approx(-0.25, abs=1e-15)
+    assert net.weights[0][0, 0] == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_sgd_deterministic_over_100_steps():
     def run():
         rng = np.random.default_rng(21)
-        net = Network([DenseLayer(rng.normal(size=(3, 5)), np.zeros(3))], ["identity"])
+        net = net_of([(rng.normal(size=(3, 5)), np.zeros(3))], ["identity"])
         opt = Sgd(net, SgdConfig(momentum=0.9, weight_decay=1e-3))
         for step in range(100):
-            g = GradientSet([rng.normal(size=(3, 5))], [rng.normal(size=3)])
-            opt.step(net, g, progress=step / 100)
-        return net.layers[0].weights.copy(), net.layers[0].bias.copy()
+            opt.step(net, rng.normal(size=net.params.size), progress=step / 100)
+        return net.params.copy()
 
-    w1, b1 = run()
-    w2, b2 = run()
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(b1, b2)
+    assert np.array_equal(run(), run())
+
+
+def _sgd_reference(net, cfg, grads, steps):
+    """`steps` updates of v = m * v + (g + wd * w); w -= lr * v on the weight
+    prefix and v = m * v + g; b -= lr * v on the biases, fresh arrays each;
+    returns the final (weights, biases) prefix and suffix."""
+    n_w = net.n_weights
+    w, b = net.params[:n_w].copy(), net.params[n_w:].copy()
+    vw, vb = np.zeros_like(w), np.zeros_like(b)
+    for step, g in enumerate(grads):
+        lr = lr_at(cfg, step / steps)
+        vw = cfg.momentum * vw + (g[:n_w] + cfg.weight_decay * w)
+        w = w - lr * vw
+        vb = cfg.momentum * vb + g[n_w:]
+        b = b - lr * vb
+    return w, b
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
 def test_sgd_in_place_step_matches_out_of_place_formula(weight_decay):
-    """The update, bitwise, against v = m * v + (g + wd * w); w -= lr * v with
-    fresh arrays, across the learning-rate drop and with a -0.0 gradient."""
+    """The update, bitwise, against the fresh-array formula across the
+    learning-rate drop and with -0.0 weight and bias gradients."""
     rng = np.random.default_rng(38)
-    dims = [(6, 5), (3, 6)]
-    net = Network([DenseLayer(rng.normal(size=d), rng.normal(size=d[0])) for d in dims],
-                  ["relu", "identity"])
+    net = random_net([5, 6, 3], seed=37)
     cfg = SgdConfig(momentum=0.9, weight_decay=weight_decay)
+    grads = [rng.normal(size=net.params.size) for _ in range(40)]
+    for g in grads:
+        g[0] = g[-1] = -0.0
+    w, b = _sgd_reference(net, cfg, grads, 40)
     opt = Sgd(net, cfg)
-    ref_w = [l.weights.copy() for l in net.layers]
-    ref_b = [l.bias.copy() for l in net.layers]
-    vel_w = [np.zeros_like(w) for w in ref_w]
-    vel_b = [np.zeros_like(b) for b in ref_b]
-    for step in range(40):
-        g = GradientSet([rng.normal(size=d) for d in dims], [rng.normal(size=d[0]) for d in dims])
-        g.weights[0][0, 0] = -0.0
+    for step, g in enumerate(grads):
         opt.step(net, g, progress=step / 40)
-        lr = lr_at(cfg, step / 40)
-        for i in range(len(dims)):
-            vel_w[i] = cfg.momentum * vel_w[i] + (g.weights[i] + weight_decay * ref_w[i])
-            ref_w[i] = ref_w[i] - lr * vel_w[i]
-            vel_b[i] = cfg.momentum * vel_b[i] + g.biases[i]
-            ref_b[i] = ref_b[i] - lr * vel_b[i]
-    for layer, w, b in zip(net.layers, ref_w, ref_b):
-        assert layer.weights.tobytes() == w.tobytes()
-        assert layer.bias.tobytes() == b.tobytes()
+    assert net.params[:net.n_weights].tobytes() == w.tobytes()
+    assert net.params[net.n_weights:].tobytes() == b.tobytes()
 
 
 def test_sgd_blocked_step_matches_out_of_place_formula_past_one_block():
-    """A layer of more than one block, with a ragged last one: bitwise equal
-    to the fresh-array update over 30 steps."""
+    """A weight prefix of more than one block, with a ragged last one, and a
+    bias suffix: bitwise equal to the fresh-array update over 30 steps."""
     rows = 5
-    cols = _BLOCK // rows + 7  # 5 x 6560 = 32800 elements: one full block and 32 more
+    cols = _BLOCK // rows + 7  # 5 x 6560 = 32800 weights: one full block and 32 more
     assert rows * cols > _BLOCK and (rows * cols) % _BLOCK != 0
     rng = np.random.default_rng(39)
-    net = Network([DenseLayer(rng.normal(size=(rows, cols)), rng.normal(size=rows))],
-                  ["identity"])
+    net = random_net([cols, rows], seed=40)
     cfg = SgdConfig(momentum=0.9, weight_decay=1e-3)
+    grads = [rng.normal(size=net.params.size) for _ in range(30)]
+    for g in grads:
+        g[net.n_weights - 1] = -0.0
+    w, b = _sgd_reference(net, cfg, grads, 30)
     opt = Sgd(net, cfg)
-    ref_w, ref_b = net.layers[0].weights.copy(), net.layers[0].bias.copy()
-    vel_w, vel_b = np.zeros_like(ref_w), np.zeros_like(ref_b)
-    for step in range(30):
-        g = GradientSet([rng.normal(size=(rows, cols))], [rng.normal(size=rows)])
-        g.weights[0][-1, -1] = -0.0
+    for step, g in enumerate(grads):
         opt.step(net, g, progress=step / 30)
-        lr = lr_at(cfg, step / 30)
-        vel_w = cfg.momentum * vel_w + (g.weights[0] + cfg.weight_decay * ref_w)
-        ref_w = ref_w - lr * vel_w
-        vel_b = cfg.momentum * vel_b + g.biases[0]
-        ref_b = ref_b - lr * vel_b
-    assert net.layers[0].weights.tobytes() == ref_w.tobytes()
-    assert net.layers[0].bias.tobytes() == ref_b.tobytes()
+    assert net.params[:net.n_weights].tobytes() == w.tobytes()
+    assert net.params[net.n_weights:].tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 40), min_size=3, max_size=5),
+       seed=st.integers(0, 2**32 - 1), momentum=st.sampled_from([0.0, 0.9]))
+def test_sgd_decay_leaves_a_minus_zero_bias_velocity_minus_zero(dims, seed, momentum):
+    """Decay touches only the weight prefix: a -0.0 bias velocity plus a -0.0
+    bias gradient stays -0.0, where a masked g + 0 * b would give +0.0 for
+    every bias >= +0.0."""
+    net = random_net(dims, seed)
+    net.params[net.n_weights:] = np.abs(net.params[net.n_weights:])
+    cfg = SgdConfig(momentum=momentum, weight_decay=1e-3)
+    opt = Sgd(net, cfg)
+    grads = np.random.default_rng(seed).normal(size=net.params.size)
+    grads[net.n_weights:] = -0.0
+    opt.vel[net.n_weights:] = -0.0
+    opt.step(net, grads, progress=0.0)
+    bias_vel = opt.vel[net.n_weights:]
+    assert np.all(bias_vel == 0.0) and np.all(np.signbit(bias_vel))
 
 
 def _two_layer_net_and_grads(seed, steps):
-    """A 6-5-3 network and `steps` gradient sets, each with a -0.0 entry and
-    a zero entry; the last layer's bias gradient is zero in every step."""
+    """A 6-5-3 network and `steps` gradient vectors, each with a -0.0 entry
+    and a zero entry; the last layer's bias gradient is zero in every step."""
     rng = np.random.default_rng(seed)
-    dims = [(5, 6), (3, 5)]
-    net = Network([DenseLayer(rng.normal(size=d), rng.normal(size=d[0])) for d in dims],
-                  ["relu", "identity"])
+    net = random_net([6, 5, 3], seed + 100)
     grads = []
     for _ in range(steps):
-        g = GradientSet([rng.normal(size=d) for d in dims], [rng.normal(size=d[0]) for d in dims])
-        g.weights[0][0, 0] = -0.0
-        g.weights[1][1, 2] = 0.0
-        g.biases[1][:] = 0.0
+        g = rng.normal(size=net.params.size)
+        g[0] = -0.0
+        g[net.n_weights - 3] = 0.0
+        g[-3:] = 0.0
         grads.append(g)
     return net, grads
 
@@ -166,38 +189,30 @@ def test_adam_in_place_step_matches_textbook_formula():
     net, grads = _two_layer_net_and_grads(40, 35)
     cfg = AdamConfig(lr=0.01)
     opt = Adam(net, cfg)
-    params = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    params = net.params.copy()
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     for t, g in enumerate(grads, start=1):
-        opt.step(net, g)
+        opt.step(net, g.copy())  # the step leaves its update in the vector it is given
         bc1 = 1.0 - cfg.beta1 ** t
         bc2 = 1.0 - cfg.beta2 ** t
-        flat = [a for pair in zip(g.weights, g.biases) for a in pair]
-        for i, gi in enumerate(flat):
-            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * gi
-            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * gi * gi
-            params[i] = params[i] - cfg.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
-    got = [a for l in net.layers for a in (l.weights, l.bias)]
-    for p, want in zip(got, params):
-        assert p.tobytes() == want.tobytes()
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        params = params - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    assert net.params.tobytes() == params.tobytes()
 
 
 def test_adagrad_in_place_step_matches_textbook_formula():
     net, grads = _two_layer_net_and_grads(41, 35)
     cfg = AdaGradConfig(lr=0.01)
     opt = AdaGrad(net, cfg)
-    params = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
-    acc = [np.zeros_like(p) for p in params]
+    params = net.params.copy()
+    acc = np.zeros_like(params)
     for g in grads:
-        opt.step(net, g)
-        flat = [a for pair in zip(g.weights, g.biases) for a in pair]
-        for i, gi in enumerate(flat):
-            acc[i] = acc[i] + gi * gi
-            params[i] = params[i] - cfg.lr * gi / (np.sqrt(acc[i]) + cfg.eps)
-    got = [a for l in net.layers for a in (l.weights, l.bias)]
-    for p, want in zip(got, params):
-        assert p.tobytes() == want.tobytes()
+        opt.step(net, g.copy())
+        acc = acc + g * g
+        params = params - cfg.lr * g / (np.sqrt(acc) + cfg.eps)
+    assert net.params.tobytes() == params.tobytes()
 
 
 # --- Adam --------------------------------------------------------------------------
@@ -207,7 +222,7 @@ def test_adam_zero_gradient_is_noop():
     opt = Adam(net, AdamConfig())
     for _ in range(5):
         opt.step(net, grads_of(net))
-    assert net.layers[0].weights[0, 0] == 0.7
+    assert net.weights[0][0, 0] == 0.7
 
 
 def test_adam_first_step_magnitude_is_lr():
@@ -216,7 +231,7 @@ def test_adam_first_step_magnitude_is_lr():
         opt = Adam(net, AdamConfig(lr=0.01))
         opt.step(net, grads_of(net, gw_value=scale))
         # bias-corrected first step is lr * g / (|g| + eps) ~= lr * sign(g)
-        assert net.layers[0].weights[0, 0] == pytest.approx(-0.01, rel=1e-4)
+        assert net.weights[0][0, 0] == pytest.approx(-0.01, rel=1e-4)
 
 
 def test_adam_config_validation():
@@ -236,7 +251,7 @@ def test_adagrad_step_ratio_closed_form():
     positions = [0.0]
     for _ in range(40):
         opt.step(net, grads_of(net, gw_value=1.0))
-        positions.append(float(net.layers[0].weights[0, 0]))
+        positions.append(float(net.weights[0][0, 0]))
     step_10 = positions[9] - positions[10]
     step_40 = positions[39] - positions[40]
     assert step_10 / step_40 == pytest.approx(2.0, rel=0.05)

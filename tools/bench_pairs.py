@@ -16,7 +16,9 @@ The output keeps the layout of the earlier `BENCH_<pr>.json` files:
 `<workload>-seed<seed>` (`-trace` appended for `--trace 1` runs). `summary`
 adds, per metric, each side's median and quartiles and the number of pairs
 the change won (a strictly better value, in the direction BENCHMARK.json
-gives). An existing `--out` file is extended: its other keys are kept.
+gives), and under `src_lines` each side's source line count, so code size
+sits next to the numbers. An existing `--out` file is extended: its other
+keys are kept.
 Standard library only.
 """
 
@@ -93,7 +95,8 @@ def main(argv=None) -> int:
                        "from the last pair; pairs: the metrics of every pair, parent commit and "
                        "change, alternating which ran first (odd pairs: parent first), after "
                        "one discarded warm-up run per side; summary: per metric, each side's "
-                       "median and quartiles and the pairs the change won")
+                       "median and quartiles and the pairs the change won, and each "
+                       "side's src_lines")
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
             key = f"{workload}-seed{seed}" + ("-trace" if args.trace else "")
@@ -118,6 +121,8 @@ def main(argv=None) -> int:
                                       "metrics": runs["change"]["metrics"]}
             report["pairs"][key] = pairs
             report["summary"][key] = summarize(pairs, better)
+            report["summary"][key]["src_lines"] = {side: runs[side]["facts"]["src_lines"]
+                                                   for side in sides}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
