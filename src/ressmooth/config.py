@@ -163,19 +163,11 @@ _KEYS = {
     ("model", "hidden"): (ModelSpec, _widths),
     ("model", "output_activation"): (ModelSpec, _text),
     ("optimizer", "kind"): (_OPTIMIZER, _text),
-    ("optimizer", "lr_high"): (_OPTIMIZER, _float),
-    ("optimizer", "lr_low"): (_OPTIMIZER, _float),
-    ("optimizer", "drop_at"): (_OPTIMIZER, _float),
-    ("optimizer", "momentum"): (_OPTIMIZER, _float),
-    ("optimizer", "weight_decay"): (_OPTIMIZER, _float),
-    ("optimizer", "lr"): (_OPTIMIZER, _float),
-    ("optimizer", "beta1"): (_OPTIMIZER, _float),
-    ("optimizer", "beta2"): (_OPTIMIZER, _float),
-    ("optimizer", "eps"): (_OPTIMIZER, _float),
+    **{("optimizer", f.name): (_OPTIMIZER, {int: _int, float: _float}[f.type])
+       for config_class, _ in OPTIMIZERS.values() for f in fields(config_class)},
     ("regularizer", "mode"): (SmoothingConfig, _text),
     ("regularizer", "alpha"): (SmoothingConfig, _float),
     ("regularizer", "n_steps"): (SmoothingConfig, _int),
-    ("regularizer", "eps_std"): (SmoothingConfig, _float),
     ("regularizer", "local_scale"): (SmoothingConfig, _float),
     ("regularizer", "schedule"): (AnnealSchedule, _text),
     ("regularizer", "mu"): (AnnealSchedule, _float),

@@ -14,7 +14,7 @@ draws from substreams of the dataset seed so every trial sees the same subset.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from . import nn, optim, smoothing
 from .annealing import scale_at
 from .config import DatasetSpec, ExperimentConfig
 from .errors import ConfigError, InputError, TrainingError
-
-METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,s_t,mean_kappa"
-AGGREGATE_HEADER = "b,alpha,trial,max_val_acc,tail_mean_val_acc"
 
 _EVAL_CHUNK = 1024  # rows; a chunk of scaled features stays in cache
 _STREAMS = {"init": 0, "shuffle": 1, "augment": 2, "take": 3, "ratio": 4}
@@ -53,6 +50,11 @@ class TrialRow:
     trial: int
     max_val_acc: float
     tail_mean_val_acc: float
+
+
+# The CSV columns: each row type's fields, in order.
+METRICS_HEADER = ",".join(f.name for f in fields(EpochMetrics))
+AGGREGATE_HEADER = ",".join(f.name for f in fields(TrialRow))
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
                 xb = data_mod.augment_batch(xb, augment_rng)
             lb = train_ds.labels[idx]
             yb = table[lb]
-            cache = nn.forward_batch(network, data_mod.features(xb))
-            preds = cache.prediction
+            acts = nn.forward_batch(network, data_mod.features(xb))
+            preds = acts[-1]
             s_t = scale_at(config.schedule, progress) if sm.mode != "off" else 0.0
             loss_rows, grad_rows, kappa = smoothing.batch_smoothed_loss_grad(preds, yb, s_t, sm)
             kappa_sum += float(kappa.mean(axis=1).sum())
@@ -141,7 +143,7 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             loss_sum += batch_loss
             correct += int((np.argmax(preds, axis=1) == lb).sum())
             grad_rows /= idx.size
-            nn.backward_batch(network, cache, grad_rows, grads)
+            nn.backward_batch(network, acts, grad_rows, grads)
             optimizer.step(network, grads, progress)
             t += 1
             if batch_idx == iters_per_epoch - 1:
@@ -173,7 +175,7 @@ def evaluate(network: nn.Network, dataset: data_mod.Dataset):
     for start in range(0, dataset.n, _EVAL_CHUNK):
         xb = data_mod.features(dataset.inputs[start:start + _EVAL_CHUNK])
         lb = dataset.labels[start:start + _EVAL_CHUNK]
-        preds = nn.forward_batch(network, xb).prediction
+        preds = nn.forward_batch(network, xb)[-1]
         correct += int((np.argmax(preds, axis=1) == lb).sum())
         r = preds - eye[lb]
         loss_sum += float(np.einsum("bj,bj->b", r, r).sum())
@@ -247,24 +249,22 @@ def grid_search(config: ExperimentConfig, b_values, alpha_values):
     return tuple(points), best
 
 
-def _write_lines(path, lines):
+def _write_rows(rows, header, path):
+    """One CSV line per dataclass row, in field order: int fields as written,
+    float fields fixed at 6 decimals so files are comparable."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(getattr(row, f.name)) if f.type is int
+                              else f"{getattr(row, f.name):.6f}" for f in fields(row)))
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def write_metrics_csv(metrics, path):
-    """Per-epoch metrics; floats fixed at 6 decimals so files are comparable."""
-    lines = [METRICS_HEADER]
-    for m in metrics:
-        lines.append(f"{m.epoch},{m.train_loss:.6f},{m.train_acc:.6f},"
-                     f"{m.val_acc:.6f},{m.s_t:.6f},{m.mean_kappa:.6f}")
-    _write_lines(path, lines)
+    """Per-epoch metrics, one `EpochMetrics` per line."""
+    _write_rows(metrics, METRICS_HEADER, path)
 
 
 def write_aggregate_csv(rows, path):
     """Per-trial summary rows, one per (b, alpha, trial)."""
-    lines = [AGGREGATE_HEADER]
-    for r in rows:
-        lines.append(f"{r.b:.6f},{r.alpha:.6f},{r.trial},"
-                     f"{r.max_val_acc:.6f},{r.tail_mean_val_acc:.6f}")
-    _write_lines(path, lines)
+    _write_rows(rows, AGGREGATE_HEADER, path)

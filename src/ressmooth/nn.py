@@ -1,7 +1,9 @@
-"""A small dense classifier over one flat parameter vector, with explicit
-forward caches and hand-derived backpropagation. No autodiff:
-`backward_batch` consumes the loss gradient w.r.t. the network output and
-chains it through the layers.
+"""A small dense classifier over one flat parameter vector, with
+hand-derived backpropagation. No autodiff: `forward_batch` returns every
+layer's activation, each computed in place over that layer's logits, and
+`backward_batch` chains the loss gradient w.r.t. the network output back
+through them; a relu's mask comes from its activation (a > 0 exactly where
+z > 0).
 
 `forward_batch`/`backward_batch` work on a whole [B, N] mini-batch with
 matrix products; batch gradients are summed over the batch. The per-sample
@@ -62,77 +64,56 @@ def build_network(dims, output_activation="softmax", rng=None) -> Network:
     return network
 
 
-class ForwardCache:
-    """Pre-activations and activations of one forward pass."""
-
-    def __init__(self, x, pre, post):
-        self.x = x
-        self.pre = pre
-        self.post = post
-
-    @property
-    def prediction(self):
-        return self.post[-1]
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = z - z.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
-
-
-def forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
-    """Forward pass for a [B, N] batch; caches every pre-activation and activation.
+def forward_batch(network: Network, xb: np.ndarray) -> list:
+    """Forward pass for a [B, N] batch: the activations [xb, a_1, ..., a_L],
+    the prediction last. Each layer's activation is computed in place over
+    its logits, so no logits are kept.
 
     Inputs are not checked for finiteness here: they come from a `Dataset`,
     which validates its float inputs once when it is built."""
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != network.dims[0]:
         raise ShapeError(f"expected [B, {network.dims[0]}] inputs, got {xb.shape}")
-    pre, post = [], []
-    a = xb
+    acts = [xb]
     for w, b, act in zip(network.weights, network.biases, network.activations):
-        z = a @ w.T
+        z = acts[-1] @ w.T
         z += b
         if act == "relu":
-            a = np.maximum(z, 0.0)
-        elif act == "identity":
-            a = z
-        else:
-            a = _softmax_rows(z)
-        pre.append(z)
-        post.append(a)
-    return ForwardCache(xb, pre, post)
+            np.maximum(z, 0.0, out=z)
+        elif act == "softmax":
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=1, keepdims=True)
+        acts.append(z)
+    return acts
 
 
-def backward_batch(network: Network, cache: ForwardCache, dl_dout: np.ndarray,
+def backward_batch(network: Network, acts: list, dl_dout: np.ndarray,
                    grads: np.ndarray) -> np.ndarray:
-    """Backward pass for a batch cache; gradients are summed over the batch.
+    """Backward pass over the activations of `forward_batch`; gradients are
+    summed over the batch.
 
     Writes them into `grads`, a vector in the parameter layout, and returns
     it. The training loop passes the same vector every step, so the next call
     overwrites it, and Adam and AdaGrad consume it: they leave their update
     there."""
     dl_dout = np.asarray(dl_dout, dtype=np.float64)
-    if dl_dout.shape != cache.post[-1].shape:
-        raise ShapeError(f"expected output gradient of shape {cache.post[-1].shape}")
+    if dl_dout.shape != acts[-1].shape:
+        raise ShapeError(f"expected output gradient of shape {acts[-1].shape}")
     grads_w, grads_b = network.views(grads)
     delta = dl_dout
     for i in reversed(range(len(network.weights))):
-        z = cache.pre[i]
+        a = acts[i + 1]
         act = network.activations[i]
-        if act == "relu":  # delta * (z > 0), with the mask made as float64 in place
-            dz = np.greater(z, 0.0, out=np.empty_like(z))
+        if act == "relu":  # delta * (a > 0), the mask of z > 0, made as float64 in place
+            dz = np.greater(a, 0.0, out=np.empty_like(a))
             dz *= delta
         elif act == "identity":
             dz = delta
         else:
-            p = cache.post[i]
-            dz = delta - np.sum(p * delta, axis=1, keepdims=True)
-            dz *= p
-        a_in = cache.post[i - 1] if i > 0 else cache.x
-        np.matmul(dz.T, a_in, out=grads_w[i])
+            dz = delta - np.sum(a * delta, axis=1, keepdims=True)
+            dz *= a
+        np.matmul(dz.T, acts[i], out=grads_w[i])
         dz.sum(axis=0, out=grads_b[i])
         if i > 0:
             delta = dz @ network.weights[i]

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigError
 
 MODES = ("off", "global", "local", "global_local")
+EPS_STD = 1e-8  # lower clamp on a residual row's std before normalizing by it
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class SmoothingConfig:
     mode: str = "off"
     alpha: float = 0.0
     n_steps: int = 1
-    eps_std: float = 1e-8
     local_scale: float = 1.0  # fixed scale for mode == "local"
 
     def __post_init__(self):
@@ -44,8 +44,6 @@ class SmoothingConfig:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.eps_std > 0.0:
-            raise ConfigError(f"eps_std must be > 0, got {self.eps_std}")
         if not 0.0 <= self.local_scale <= 1.0:
             raise ConfigError(f"local_scale must be in [0, 1], got {self.local_scale}")
 
@@ -69,8 +67,9 @@ def sigmoid_scale(x, s: float, alpha: float) -> np.ndarray:
     return out
 
 
-def batch_normalize(d_rows: np.ndarray, eps_std: float) -> np.ndarray:
-    """Row-wise mean-0 / population-std-1 normalization with clamped std."""
+def batch_normalize(d_rows: np.ndarray) -> np.ndarray:
+    """Row-wise mean-0 / population-std-1 normalization, the std clamped
+    below by EPS_STD."""
     # a row mean is its sum divided by the count, bitwise, as np.mean computes it
     m = d_rows.shape[1]
     mu = d_rows.sum(axis=1, keepdims=True)
@@ -78,7 +77,7 @@ def batch_normalize(d_rows: np.ndarray, eps_std: float) -> np.ndarray:
     centered = d_rows - mu
     var = (centered * centered).sum(axis=1, keepdims=True)
     var /= m
-    centered /= np.maximum(np.sqrt(var, out=var), eps_std)
+    centered /= np.maximum(np.sqrt(var, out=var), EPS_STD)
     return centered
 
 
@@ -90,7 +89,7 @@ def batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig) -> n
         return np.zeros_like(d_rows)
     if cfg.mode == "global":  # alpha = 0: the sigmoid of anything finite is s_t / 2
         return np.full_like(d_rows, s_t / 2.0)
-    d_tilde = batch_normalize(d_rows, cfg.eps_std)
+    d_tilde = batch_normalize(d_rows)
     if cfg.mode == "local":
         return sigmoid_scale(d_tilde, cfg.local_scale, cfg.alpha)
     return sigmoid_scale(d_tilde, s_t, cfg.alpha)

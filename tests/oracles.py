@@ -10,8 +10,11 @@ it goes through `nn.forward_batch`, `smoothing.batch_smoothed_loss_grad`,
 
 The `fresh_*` functions are those batch functions written with a fresh array
 per expression, in the same operation order as the in-place production code.
-The production code must equal them bitwise. Both backward passes return
-their gradient as one vector in the network's [W..., b...] parameter layout.
+The production code must equal them bitwise. The forward references keep
+every pre-activation, and both backward references mask relu by `z > 0`,
+where production keeps only the activations and masks by `a > 0`. Both
+backward passes return their gradient as one vector in the network's
+[W..., b...] parameter layout.
 """
 
 from typing import NamedTuple
@@ -19,10 +22,22 @@ from typing import NamedTuple
 import numpy as np
 
 from ressmooth.errors import ConfigError, InputError, ShapeError
-from ressmooth.nn import ForwardCache, Network
-from ressmooth.smoothing import MODES, SmoothingConfig, sigmoid_scale
+from ressmooth.nn import Network
+from ressmooth.smoothing import EPS_STD, MODES, SmoothingConfig, sigmoid_scale
 
 # --- network ---------------------------------------------------------------------
+
+
+class ForwardCache(NamedTuple):
+    """Pre-activations and activations of one reference forward pass.
+    (`nn.forward_batch` keeps only the activations: `[x, *post]`.)"""
+    x: np.ndarray
+    pre: list
+    post: list
+
+    @property
+    def prediction(self):
+        return self.post[-1]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -144,7 +159,7 @@ def fresh_batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig
     mu = d_rows.mean(axis=1, keepdims=True)
     centered = d_rows - mu
     sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True))
-    d_tilde = centered / np.maximum(sigma, cfg.eps_std)
+    d_tilde = centered / np.maximum(sigma, EPS_STD)
     if cfg.mode == "local":
         return fresh_sigmoid_scale(d_tilde, cfg.local_scale, cfg.alpha)
     return fresh_sigmoid_scale(d_tilde, s_t, cfg.alpha)
@@ -190,13 +205,13 @@ def residual(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.abs(prediction - target)
 
 
-def normalize_residual(d: np.ndarray, eps_std: float = 1e-8) -> NormalizedResidual:
-    """Shift/scale to mean 0 and population std 1; std clamped below by eps_std."""
+def normalize_residual(d: np.ndarray) -> NormalizedResidual:
+    """Shift/scale to mean 0 and population std 1; std clamped below by EPS_STD."""
     d = np.asarray(d, dtype=np.float64)
     mu = float(np.mean(d))
     centered = d - mu
     sigma = float(np.sqrt(np.mean(centered * centered)))
-    return NormalizedResidual(centered / max(sigma, eps_std), mu, sigma)
+    return NormalizedResidual(centered / max(sigma, EPS_STD), mu, sigma)
 
 
 def diffusivity(values, s_t: float, alpha: float, mode: str,

@@ -94,13 +94,13 @@ def test_criterion_2_gradient_oracle():
 
             for b in (1, 4):
                 xb, yb = xs[:b], ys[:b]
-                cache = forward_batch(net, xb)
-                _, grad, kappa = batch_smoothed_loss_grad(cache.prediction, yb, s_t, cfg)
-                analytic = net.views(backward_batch(net, cache, grad, np.empty_like(net.params)))
+                acts = forward_batch(net, xb)
+                _, grad, kappa = batch_smoothed_loss_grad(acts[-1], yb, s_t, cfg)
+                analytic = net.views(backward_batch(net, acts, grad, np.empty_like(net.params)))
                 ws = [smoothing_matrix(k) for k in kappa]
 
                 def loss():
-                    d = np.abs(forward_batch(net, xb).prediction - yb)
+                    d = np.abs(forward_batch(net, xb)[-1] - yb)
                     return sum(smoothed_loss(d_i, w) for d_i, w in zip(d, ws))
 
                 h = 1e-6

@@ -9,7 +9,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 # per side, the values of each call: a warm-up run, then pairs 1-3
-RUN_S = {"parent": [9.0, 2.0, 2.0, 2.0], "change": [9.0, 1.5, 2.0, 2.5]}
+RUN_S = {"parent": [9.0, 2.0, 2.0, 2.0], "change": [9.0, 1.5, 2.0, 2.25]}
 VAL_ACC = {"parent": [0.0, 90.0, 90.0, 90.0], "change": [0.0, 91.0, 90.0, 89.0]}
 SRC_LINES = {"parent": 1554, "change": 1460}
 
@@ -43,7 +43,17 @@ def test_summary_counts_strict_wins_and_carries_src_lines(tmp_path, monkeypatch)
     assert summary["val_acc_max"]["change_wins"] == 1
     assert summary["run_s"]["pairs"] == 3
     assert summary["run_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert summary["run_s"]["median_change_minus_parent"] == 0.0
+    # the change ran first in pair 2 only (a tie) and second in pairs 1 and 3
+    # (a win by 0.5 and a loss by 0.25)
+    assert summary["run_s"]["change_first"] == {"change_wins": 0, "pairs": 1,
+                                                "median_change_minus_parent": 0.0}
+    assert summary["run_s"]["change_second"] == {"change_wins": 1, "pairs": 2,
+                                                 "median_change_minus_parent": -0.125}
+    assert summary["val_acc_max"]["change_first"]["change_wins"] == 0
+    assert summary["val_acc_max"]["change_second"]["change_wins"] == 1
     assert summary["src_lines"] == SRC_LINES
     pairs = report["pairs"]["many_class-seed17"]
-    assert [p["change"]["run_s"] for p in pairs] == [1.5, 2.0, 2.5]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
+    assert [p["change"]["run_s"] for p in pairs] == [1.5, 2.0, 2.25]
     assert all(p["outputs_identical"] for p in pairs)

@@ -67,8 +67,11 @@ def test_parse_resolves_relative_paths(tmp_path):
 
 
 def test_unknown_key_is_fatal():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text(GOOD.replace("take = 10000", "tak = 10000"))
+    # eps_std is no key: the std clamp is the constant smoothing.EPS_STD
+    for text in (GOOD.replace("take = 10000", "tak = 10000"),
+                 GOOD.replace("alpha = 1.0", "alpha = 1.0\neps_std = 1e-6")):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(text)
 
 
 def test_unknown_section_is_fatal():
@@ -115,7 +118,6 @@ def test_non_finite_numbers_are_rejected(old, new, key):
 @pytest.mark.parametrize("make", [
     lambda: AnnealSchedule(b=NAN),
     lambda: SmoothingConfig(alpha=NAN),
-    lambda: SmoothingConfig(eps_std=NAN),
     lambda: SmoothingConfig(local_scale=NAN),
     lambda: SgdConfig(weight_decay=NAN),
     lambda: SgdConfig(lr_low=NAN),
@@ -125,7 +127,7 @@ def test_non_finite_numbers_are_rejected(old, new, key):
     lambda: AdaGradConfig(eps=NAN),
     lambda: DatasetSpec(kind="cifar10", train_files=("a",), test_files=("b",),
                         subsample_ratio=NAN),
-], ids=["b", "alpha", "eps_std", "local_scale", "weight_decay", "lr_low", "adam_lr",
+], ids=["b", "alpha", "local_scale", "weight_decay", "lr_low", "adam_lr",
         "adam_eps", "adagrad_lr", "adagrad_eps", "subsample_ratio"])
 def test_nan_fails_the_dataclass_checks(make):
     with pytest.raises(ConfigError):

@@ -43,28 +43,28 @@ def test_forward_identity_layer():
     net = net_of([(np.eye(3), np.zeros(3))], ["identity"])
     xb = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]])
     for rows in (1, 2):
-        assert np.array_equal(forward_batch(net, xb[:rows]).prediction, xb[:rows])
+        assert np.array_equal(forward_batch(net, xb[:rows])[-1], xb[:rows])
 
 
 def test_forward_relu():
     net = net_of([(np.eye(2), np.zeros(2))], ["relu"])
     xb = np.array([[-1.0, 2.0], [3.0, -4.0]])
-    assert forward_batch(net, xb[:1]).prediction.tolist() == [[0.0, 2.0]]
-    assert forward_batch(net, xb).prediction.tolist() == [[0.0, 2.0], [3.0, 0.0]]
+    assert forward_batch(net, xb[:1])[-1].tolist() == [[0.0, 2.0]]
+    assert forward_batch(net, xb)[-1].tolist() == [[0.0, 2.0], [3.0, 0.0]]
 
 
 def test_forward_softmax_symmetry():
     net = net_of([(np.eye(2), np.zeros(2))], ["softmax"])
     xb = np.array([[0.0, 0.0], [7.5, 7.5], [-3.0, -3.0]])
-    assert forward_batch(net, xb[:1]).prediction.tolist() == [[0.5, 0.5]]
-    assert forward_batch(net, xb).prediction.tolist() == [[0.5, 0.5]] * 3
+    assert forward_batch(net, xb[:1])[-1].tolist() == [[0.5, 0.5]]
+    assert forward_batch(net, xb)[-1].tolist() == [[0.5, 0.5]] * 3
 
 
 def test_softmax_normalization_and_range():
     rng = np.random.default_rng(2)
     net = random_net([6, 10])
     for rows in (1, 10):
-        p = forward_batch(net, rng.normal(size=(rows, 6))).prediction
+        p = forward_batch(net, rng.normal(size=(rows, 6)))[-1]
         assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-12)
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
@@ -75,8 +75,8 @@ def test_softmax_shift_invariance():
     net_shifted = net_of([(w, np.full(5, 123.0))], ["softmax"])
     xb = np.array([[0.1, -0.4, 0.9, 0.2], [2.0, 0.5, -1.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
     for rows in (1, 3):
-        a = forward_batch(net_plain, xb[:rows]).prediction
-        b = forward_batch(net_shifted, xb[:rows]).prediction
+        a = forward_batch(net_plain, xb[:rows])[-1]
+        b = forward_batch(net_shifted, xb[:rows])[-1]
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -84,8 +84,8 @@ def test_forward_is_deterministic():
     net = random_net([8, 6, 4], seed=5)
     xb = np.random.default_rng(6).random((5, 8))
     for rows in (1, 5):
-        assert np.array_equal(forward_batch(net, xb[:rows]).prediction,
-                              forward_batch(net, xb[:rows]).prediction)
+        assert np.array_equal(forward_batch(net, xb[:rows])[-1],
+                              forward_batch(net, xb[:rows])[-1])
 
 
 def test_forward_input_validation():
@@ -129,7 +129,7 @@ def test_backward_matches_finite_differences(fd_grad, output_activation):
         directions = rng.normal(size=(rows, 4))  # a random linear functional of each output row
 
         def loss():
-            return float(np.sum(directions * forward_batch(net, xb).prediction))
+            return float(np.sum(directions * forward_batch(net, xb)[-1]))
 
         analytic = backward_batch(net, forward_batch(net, xb), directions,
                                   np.empty_like(net.params))
@@ -139,12 +139,12 @@ def test_backward_matches_finite_differences(fd_grad, output_activation):
 
 def test_backward_shape_validation():
     net = random_net([4, 2])
-    cache = forward_batch(net, np.zeros((2, 4)))
+    acts = forward_batch(net, np.zeros((2, 4)))
     grads = np.empty_like(net.params)
     with pytest.raises(ShapeError):
-        backward_batch(net, cache, np.zeros((2, 3)), grads)
+        backward_batch(net, acts, np.zeros((2, 3)), grads)
     with pytest.raises(ShapeError):
-        backward_batch(net, cache, np.zeros((1, 2)), grads)
+        backward_batch(net, acts, np.zeros((1, 2)), grads)
 
 
 # --- batch path vs the per-sample oracle --------------------------------------------
@@ -152,7 +152,7 @@ def test_backward_shape_validation():
 def test_forward_batch_matches_per_sample():
     net = random_net([9, 7, 5], seed=11)
     xb = np.random.default_rng(12).random((6, 9))
-    batch = forward_batch(net, xb).prediction
+    batch = forward_batch(net, xb)[-1]
     for i in range(6):
         single = forward(net, xb[i]).prediction
         assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-14)
@@ -172,18 +172,19 @@ def test_backward_batch_sums_per_sample_gradients():
 
 @pytest.mark.parametrize("output_activation", ["softmax", "identity"])
 def test_batch_passes_bitwise_match_fresh_array_forms(output_activation):
-    """The in-place bias add, softmax, relu mask and softmax backward against
-    the same expressions with a fresh array each, kept in `oracles`."""
+    """The in-place bias add, relu, softmax, relu mask (from the activation)
+    and softmax backward against the same expressions with a fresh array
+    each, kept in `oracles`."""
     net = random_net([9, 7, 6, 5], output_activation=output_activation, seed=15)
     rng = np.random.default_rng(16)
     xb = rng.normal(size=(11, 9))
     gb = rng.normal(size=(11, 5))
     gb[0, 0] = -0.0
-    cache, want = forward_batch(net, xb), fresh_forward_batch(net, xb)
-    for got_list, want_list in ((cache.pre, want.pre), (cache.post, want.post)):
-        for g, w in zip(got_list, want_list):
-            assert g.tobytes() == w.tobytes()
-    got_grads = backward_batch(net, cache, gb.copy(), np.empty_like(net.params))
+    acts, want = forward_batch(net, xb), fresh_forward_batch(net, xb)
+    assert len(acts) == 1 + len(want.post)
+    for g, w in zip(acts, [want.x, *want.post]):
+        assert g.tobytes() == w.tobytes()
+    got_grads = backward_batch(net, acts, gb.copy(), np.empty_like(net.params))
     assert got_grads.tobytes() == fresh_backward_batch(net, want, gb).tobytes()
 
 
@@ -191,8 +192,8 @@ def test_softmax_rows_bitwise_matches_fresh_array_form():
     rng = np.random.default_rng(17)
     z = np.concatenate([rng.normal(0.0, 30.0, size=(20, 10)), np.full((1, 10), -745.0)])
     net = net_of([(np.eye(10), np.zeros(10))], ["softmax"])
-    cache = forward_batch(net, z)
-    assert cache.prediction.tobytes() == fresh_softmax_rows(cache.pre[0]).tobytes()
+    logits = fresh_forward_batch(net, z).pre[0]
+    assert forward_batch(net, z)[-1].tobytes() == fresh_softmax_rows(logits).tobytes()
 
 
 # --- architecture validation ------------------------------------------------------
@@ -290,10 +291,25 @@ def test_backward_into_the_views_bitwise_matches_fresh_arrays(dims, rows, seed,
     rng = np.random.default_rng(seed)
     net = build_network(dims, output_activation, rng)
     net.params[net.n_weights:] = rng.normal(size=net.params.size - net.n_weights)
+    # relu units with a zero weight row and a +-0.0 bias, at least one per
+    # hidden layer, next to units whose z is negative: their z is exactly
+    # zero. A BLAS may sum the zero products to +0.0 whatever their signs, so
+    # the oracle's z is set to -0.0 at some of them. Production masks by
+    # a > 0, the oracle by z > 0; they must agree at +0.0 and -0.0
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        dead = rng.random(w.shape[0]) < 0.3
+        dead[0] = True
+        w[dead] = 0.0
+        b[dead] = rng.choice([0.0, -0.0], size=int(dead.sum()))
     xb = rng.normal(size=(rows, dims[0]))
     gb = rng.normal(size=(rows, dims[-1]))
     gb[0, 0] = -0.0
+    want = fresh_forward_batch(net, xb)
+    for z in want.pre[:-1]:
+        zero = z == 0.0
+        assert zero.any()
+        z[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
     grads = np.full_like(net.params, np.nan)
     got = backward_batch(net, forward_batch(net, xb), gb.copy(), grads)
     assert got is grads
-    assert got.tobytes() == fresh_backward_batch(net, fresh_forward_batch(net, xb), gb).tobytes()
+    assert got.tobytes() == fresh_backward_batch(net, want, gb).tobytes()

@@ -41,10 +41,10 @@ def test_residual_shape_mismatch():
 # --- normalization ------------------------------------------------------------
 
 def test_normalize_constant_vector_is_zero():
-    got = batch_normalize(np.full((2, 7), 0.5), eps_std=1e-8)
+    got = batch_normalize(np.full((2, 7), 0.5))
     assert got.tolist() == [[0.0] * 7] * 2
     # a constant whose mean is not exactly representable still lands near zero
-    got = batch_normalize(np.full((1, 3), 0.1), eps_std=1e-8)
+    got = batch_normalize(np.full((1, 3), 0.1))
     assert np.max(np.abs(got)) < 1e-6
 
 
@@ -53,7 +53,7 @@ def test_normalize_1_2_3():
     # independent arithmetic: (d - mean) / population std
     mean = (1.0 + 2.0 + 3.0) / 3.0
     pstd = math.sqrt(((1 - mean) ** 2 + (2 - mean) ** 2 + (3 - mean) ** 2) / 3.0)
-    got = batch_normalize(np.vstack([d, 10.0 * d]), 1e-8)
+    got = batch_normalize(np.vstack([d, 10.0 * d]))
     for row in got:
         assert np.allclose(row, (d - mean) / pstd, atol=1e-12)
         assert np.allclose(row, [-1.2247, 0.0, 1.2247], atol=1e-4)
@@ -62,15 +62,15 @@ def test_normalize_1_2_3():
 def test_normalize_preserves_argmax():
     rng = np.random.default_rng(5)
     d_rows = rng.random((20, 10))
-    got = batch_normalize(d_rows, 1e-8)
+    got = batch_normalize(d_rows)
     assert np.array_equal(np.argmax(got, axis=1), np.argmax(d_rows, axis=1))
-    assert np.argmax(batch_normalize(d_rows[:1], 1e-8)) == np.argmax(d_rows[0])
+    assert np.argmax(batch_normalize(d_rows[:1])) == np.argmax(d_rows[0])
 
 
 def test_normalize_moments():
     rng = np.random.default_rng(6)
     d_rows = rng.random((20, 12)) * rng.uniform(0.1, 5.0, size=(20, 1))
-    got = batch_normalize(d_rows, 1e-8)
+    got = batch_normalize(d_rows)
     assert np.all(np.abs(got.mean(axis=1)) < 1e-10)
     assert np.all(np.abs(np.sqrt(np.mean(got ** 2, axis=1)) - 1.0) < 1e-10)
 
@@ -300,8 +300,6 @@ def test_smoothing_config_validation():
     with pytest.raises(ConfigError):
         SmoothingConfig(n_steps=0)
     with pytest.raises(ConfigError):
-        SmoothingConfig(eps_std=0.0)
-    with pytest.raises(ConfigError):
         SmoothingConfig(local_scale=1.5)
 
 
@@ -310,7 +308,7 @@ def test_smoothing_config_validation():
 def per_sample_oracle(pred, target, s_t, cfg):
     """Dense per-sample kappa, smoothed loss and gradient for one row."""
     d = residual(pred, target)
-    feed = d if cfg.mode == "global" else normalize_residual(d, cfg.eps_std).d_tilde
+    feed = d if cfg.mode == "global" else normalize_residual(d).d_tilde
     kappa = diffusivity(feed, s_t, cfg.alpha, cfg.mode, cfg.local_scale)
     w = smoothing_matrix(kappa)
     return (kappa, smoothed_loss(d, w, cfg.n_steps),
@@ -396,7 +394,7 @@ def test_batch_kernel_bitwise_matches_fresh_array_form(mode, m, n_steps, s_t):
     targets = np.eye(m)[rng.integers(0, m, size=12)]
     preds[0] = targets[0]  # a row of zero residual
     preds[1, 0] = targets[1, 0]  # one zero entry in an otherwise nonzero row
-    preds[2] = 0.5  # a row of equal residuals: normalized std clamped to eps_std
+    preds[2] = 0.5  # a row of equal residuals: normalized std clamped to EPS_STD
     got = batch_smoothed_loss_grad(preds.copy(), targets.copy(), s_t, cfg)
     want = fresh_batch_smoothed_loss_grad(preds, targets, s_t, cfg)
     for g, w in zip(got, want):

@@ -12,12 +12,14 @@ pairs and the change first in even ones.
 
 The output keeps the layout of the earlier `BENCH_<pr>.json` files:
 `reports` holds the change's report (facts and metrics) from the last pair,
-`pairs` every pair's metrics of both sides, both keyed by
-`<workload>-seed<seed>` (`-trace` appended for `--trace 1` runs). `summary`
-adds, per metric, each side's median and quartiles and the number of pairs
-the change won (a strictly better value, in the direction BENCHMARK.json
-gives), and under `src_lines` each side's source line count, so code size
-sits next to the numbers. An existing `--out` file is extended: its other
+`pairs` every pair's metrics of both sides and which side ran first, both
+keyed by `<workload>-seed<seed>` (`-trace` appended for `--trace 1` runs).
+`summary` adds, per metric, each side's median and quartiles, the number of
+pairs the change won (a strictly better value, in the direction
+BENCHMARK.json gives) and the median change - parent, the same two again
+under `change_first` and `change_second` for the pairs where the change ran
+first and second, and under `src_lines` each side's source line count, so
+code size sits next to the numbers. An existing `--out` file is extended: its other
 keys are kept.
 Standard library only.
 """
@@ -55,16 +57,27 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def wins(pairs, name: str, sign: float) -> dict:
+    """The pairs in which the change was strictly better on `name` (sign -1:
+    lower is better) and the median change - parent."""
+    diffs = [p["change"][name] - p["parent"][name] for p in pairs]
+    return {"change_wins": sum(sign * d > 0.0 for d in diffs), "pairs": len(diffs),
+            "median_change_minus_parent": statistics.median(diffs) if diffs else None}
+
+
 def summarize(pairs, better: dict) -> dict:
-    """Per metric: both sides' spread and the change's win count."""
+    """Per metric: both sides' spread and `wins` over all pairs, then `wins`
+    over the pairs where the change ran first and over those where it ran
+    second, since the side that runs second tends to read slower."""
+    by_first = {side: [p for p in pairs if p["first"] == side] for side in ("change", "parent")}
     out = {}
     for name in pairs[0]["change"]:
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
-        out[name] = {"parent": spread(parent), "change": spread(change),
-                     "change_wins": wins, "pairs": len(pairs)}
+        out[name] = {"parent": spread([p["parent"][name] for p in pairs]),
+                     "change": spread([p["change"][name] for p in pairs]),
+                     **wins(pairs, name, sign),
+                     "change_first": wins(by_first["change"], name, sign),
+                     "change_second": wins(by_first["parent"], name, sign)}
     return out
 
 
@@ -95,8 +108,9 @@ def main(argv=None) -> int:
                        "from the last pair; pairs: the metrics of every pair, parent commit and "
                        "change, alternating which ran first (odd pairs: parent first), after "
                        "one discarded warm-up run per side; summary: per metric, each side's "
-                       "median and quartiles and the pairs the change won, and each "
-                       "side's src_lines")
+                       "median and quartiles, the pairs the change won and the median "
+                       "change - parent, those two again split by whether the change ran "
+                       "first or second, and each side's src_lines")
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
             key = f"{workload}-seed{seed}" + ("-trace" if args.trace else "")
@@ -110,7 +124,7 @@ def main(argv=None) -> int:
             for k in range(1, args.pairs + 1):
                 order = ("parent", "change") if k % 2 else ("change", "parent")
                 runs = {side: run(side) for side in order}
-                pairs.append({"pair": k,
+                pairs.append({"pair": k, "first": order[0],
                               "change": runs["change"]["metrics"],
                               "parent": runs["parent"]["metrics"],
                               "outputs_identical": (runs["change"]["facts"]["outputs_sha256"]
