@@ -66,12 +66,14 @@ def test_parse_resolves_relative_paths(tmp_path):
     assert cfg.dataset.train_images == str(tmp_path / "data/train-images-idx3-ubyte.gz")
 
 
-def test_unknown_key_is_fatal():
-    # eps_std is no key: the std clamp is the constant smoothing.EPS_STD
-    for text in (GOOD.replace("take = 10000", "tak = 10000"),
-                 GOOD.replace("alpha = 1.0", "alpha = 1.0\neps_std = 1e-6")):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text(text)
+# eps_std is no key: the std clamp is the constant smoothing.EPS_STD
+@pytest.mark.parametrize("old, new", [
+    ("take = 10000", "tak = 10000"),
+    ("alpha = 1.0", "alpha = 1.0\neps_std = 1e-6"),
+], ids=["tak", "eps_std"])
+def test_unknown_key_is_fatal(old, new):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text(GOOD.replace(old, new))
 
 
 def test_unknown_section_is_fatal():
