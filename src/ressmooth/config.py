@@ -16,7 +16,8 @@ from .errors import ConfigError
 from .optim import OPTIMIZERS
 from .smoothing import SmoothingConfig
 
-# dataset kind -> the file keys it needs; the other kind's keys are an error
+# dataset kind -> the file keys it needs, in its loader's argument order;
+# the other kind's keys are an error
 DATASET_FILES = {"fashion_mnist": ("train_images", "train_labels", "test_images", "test_labels"),
                  "cifar10": ("train_files", "test_files")}
 
@@ -150,12 +151,8 @@ def _widths(raw, name, base_dir):
 # keys take the target dataclass's default; a field without one is required.
 _KEYS = {
     ("dataset", "kind"): (DatasetSpec, _text),
-    ("dataset", "train_images"): (DatasetSpec, _path),
-    ("dataset", "train_labels"): (DatasetSpec, _path),
-    ("dataset", "test_images"): (DatasetSpec, _path),
-    ("dataset", "test_labels"): (DatasetSpec, _path),
-    ("dataset", "train_files"): (DatasetSpec, _paths),
-    ("dataset", "test_files"): (DatasetSpec, _paths),
+    **{("dataset", key): (DatasetSpec, _paths if kind == "cifar10" else _path)
+       for kind, keys in DATASET_FILES.items() for key in keys},
     ("dataset", "take"): (DatasetSpec, _int),
     ("dataset", "subsample_ratio"): (DatasetSpec, _float),
     ("dataset", "seed"): (DatasetSpec, _int),
@@ -189,7 +186,8 @@ def _required(target, name) -> bool:
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header line can name "\n", so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

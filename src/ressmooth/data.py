@@ -3,7 +3,7 @@
 IDX files (MNIST family), big-endian:
     i32  magic (0x00000803 images / 0x00000801 labels)
     i32  item count, then i32 rows, i32 cols for images
-    u8[] pixels row-wise / labels
+    u8[] pixels row-wise / labels, to the exact length: trailing bytes are an error
 Gzip-wrapped IDX files are accepted. CIFAR-10 binary: 3073-byte records,
 one label byte then 1024 R + 1024 G + 1024 B plane bytes.
 
@@ -123,58 +123,53 @@ def _inflate_one_member(f):
     return out
 
 
+def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
+    """Decode one IDX file (gzipped or raw) whose header is `magic` and `ndim`
+    dimensions: a read-only uint8 view of its payload, shaped by the header."""
+    raw = _read_maybe_gzip(path)
+    header = 4 + 4 * ndim
+    if len(raw) < header:
+        raise FormatError(f"{path}: truncated header at offset {len(raw)}")
+    found, *dims = struct.unpack_from(f">{1 + ndim}I", raw, 0)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x} at offset 0")
+    if min(dims[1:], default=1) < 1:
+        raise FormatError(f"{path}: bad dims {'x'.join(map(str, dims[1:]))} at offset 8")
+    need = header + math.prod(dims)
+    if len(raw) < need:
+        raise FormatError(f"{path}: truncated at offset {len(raw)}, need {need}")
+    if len(raw) > need:
+        raise FormatError(f"{path}: {len(raw) - need} trailing bytes at offset {need}")
+    return np.frombuffer(raw, np.uint8, need - header, offset=header).reshape(dims)
+
+
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Load an IDX image/label file pair (gzipped or raw) as uint8 codes: a
     read-only view of the decoded image bytes."""
-    img = _read_maybe_gzip(images_path)
-    if len(img) < 16:
-        raise FormatError(f"{images_path}: truncated header at offset {len(img)}")
-    magic, count, rows, cols = struct.unpack_from(">IIII", img, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{images_path}: bad magic 0x{magic:08x} at offset 0")
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{images_path}: bad dims {rows}x{cols} at offset 8")
-    need = 16 + count * rows * cols
-    if len(img) < need:
-        raise FormatError(f"{images_path}: truncated at offset {len(img)}, need {need}")
-
-    lbl = _read_maybe_gzip(labels_path)
-    if len(lbl) < 8:
-        raise FormatError(f"{labels_path}: truncated header at offset {len(lbl)}")
-    lmagic, lcount = struct.unpack_from(">II", lbl, 0)
-    if lmagic != IDX_LABEL_MAGIC:
-        raise FormatError(f"{labels_path}: bad magic 0x{lmagic:08x} at offset 0")
-    if lcount != count:
-        raise FormatError(f"{labels_path}: {lcount} labels for {count} images")
-    if len(lbl) < 8 + count:
-        raise FormatError(f"{labels_path}: truncated at offset {len(lbl)}, need {8 + count}")
-
-    pixels = np.frombuffer(img, np.uint8, count * rows * cols, offset=16)
-    labels = np.frombuffer(lbl, np.uint8, count, offset=8).astype(np.int64)
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1).astype(np.int64)
+    count, rows, cols = images.shape
+    if labels.size != count:
+        raise FormatError(f"{labels_path}: {labels.size} labels for {count} images")
     if labels.size and int(labels.max()) > 9:
         raise FormatError(f"{labels_path}: label {int(labels.max())} exceeds 9")
-    return Dataset(pixels.reshape(count, rows * cols), labels, 10, split)
+    return Dataset(images.reshape(count, rows * cols), labels, 10, split)
 
 
 def load_cifar10_bin(paths, split: str = "train") -> Dataset:
     """Load and concatenate CIFAR-10 binary batch files, in the given order,
-    as uint8 codes."""
-    pixel_parts, label_parts = [], []
+    as uint8 codes: the inputs are a view of the records past the label byte."""
+    parts = []
     for path in paths:
         raw = _read_maybe_gzip(path)
         if len(raw) % CIFAR_RECORD_BYTES != 0:
             raise FormatError(f"{path}: size {len(raw)} not a multiple of {CIFAR_RECORD_BYTES}")
-        records = np.frombuffer(raw, np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        label_parts.append(records[:, 0])
-        pixel_parts.append(records[:, 1:])
-    labels = np.concatenate(label_parts).astype(np.int64) if label_parts else np.zeros(0, np.int64)
+        parts.append(np.frombuffer(raw, np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
+    records = np.concatenate(parts) if parts else np.zeros((0, CIFAR_RECORD_BYTES), np.uint8)
+    labels = records[:, 0].astype(np.int64)
     if labels.size and int(labels.max()) > 9:
         raise FormatError(f"label {int(labels.max())} exceeds 9")
-    if pixel_parts:
-        inputs = np.concatenate(pixel_parts)
-    else:
-        inputs = np.zeros((0, CIFAR_RECORD_BYTES - 1), np.uint8)
-    return Dataset(inputs, labels, 10, split)
+    return Dataset(records[:, 1:], labels, 10, split)
 
 
 def features(rows: np.ndarray) -> np.ndarray:
@@ -189,17 +184,6 @@ def take_uniform(dataset: Dataset, count: int, rng: np.random.Generator) -> Data
         raise ConfigError(f"cannot take {count} of {dataset.n} examples")
     idx = np.sort(rng.choice(dataset.n, size=count, replace=False))
     return replace(dataset, inputs=dataset.inputs[idx], labels=dataset.labels[idx])
-
-
-def subsample(dataset: Dataset, ratio: float, rng: np.random.Generator) -> Dataset:
-    """floor(ratio * n) examples drawn uniformly without replacement.
-
-    ratio == 1 returns the dataset unchanged (same order, no draw)."""
-    if not 0.0 < ratio <= 1.0:
-        raise ConfigError(f"ratio must be in (0, 1], got {ratio}")
-    if ratio == 1.0:
-        return dataset
-    return take_uniform(dataset, int(math.floor(ratio * dataset.n)), rng)
 
 
 def batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):

@@ -21,7 +21,7 @@ import numpy as np
 from . import data as data_mod
 from . import nn, optim, smoothing
 from .annealing import scale_at
-from .config import DatasetSpec, ExperimentConfig
+from .config import DATASET_FILES, DatasetSpec, ExperimentConfig
 from .errors import ConfigError, InputError, TrainingError
 
 _EVAL_CHUNK = 1024  # rows; a chunk of scaled features stays in cache
@@ -68,11 +68,9 @@ class TrialAggregate:
 
 def load_split(ds: DatasetSpec, split: str) -> data_mod.Dataset:
     """The configured dataset's "train" or "test" split as uint8 codes."""
-    if ds.kind == "fashion_mnist":
-        if split == "train":
-            return data_mod.load_idx(ds.train_images, ds.train_labels, split)
-        return data_mod.load_idx(ds.test_images, ds.test_labels, split)
-    return data_mod.load_cifar10_bin(ds.train_files if split == "train" else ds.test_files, split)
+    files = [getattr(ds, key) for key in DATASET_FILES[ds.kind] if key.startswith(split)]
+    load = data_mod.load_cifar10_bin if ds.kind == "cifar10" else data_mod.load_idx
+    return load(*files, split)
 
 
 def prepare_data(config: ExperimentConfig):
@@ -83,7 +81,8 @@ def prepare_data(config: ExperimentConfig):
     if ds.take > 0:
         train = data_mod.take_uniform(train, ds.take, substream(ds.seed, "take"))
     if ds.subsample_ratio < 1.0:
-        train = data_mod.subsample(train, ds.subsample_ratio, substream(ds.seed, "ratio"))
+        train = data_mod.take_uniform(train, math.floor(ds.subsample_ratio * train.n),
+                                      substream(ds.seed, "ratio"))
     return train, load_split(ds, "test")
 
 
@@ -116,15 +115,13 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
         table = optim.label_smooth(table, config.label_smoothing)
 
     n = train_ds.n
-    iters_per_epoch = math.ceil(n / config.batch_size)
-    total_iters = config.epochs * iters_per_epoch
+    total_iters = config.epochs * math.ceil(n / config.batch_size)
     t = 0
     metrics = []
     for epoch in range(config.epochs):
         loss_sum = 0.0
         kappa_sum = 0.0
         correct = 0
-        s_end = 0.0
         for batch_idx, idx in enumerate(data_mod.batches(train_ds, config.batch_size, shuffle_rng)):
             progress = t / total_iters
             xb = train_ds.inputs[idx]
@@ -146,8 +143,6 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             nn.backward_batch(network, acts, grad_rows, grads)
             optimizer.step(network, grads, progress)
             t += 1
-            if batch_idx == iters_per_epoch - 1:
-                s_end = s_t
         for i, (w, b) in enumerate(zip(network.weights, network.biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise TrainingError(f"non-finite parameters in layer {i} after epoch {epoch}")
@@ -157,7 +152,7 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             train_loss=loss_sum / n,
             train_acc=100.0 * correct / n,
             val_acc=val_acc,
-            s_t=s_end,
+            s_t=s_t,  # the epoch's last batch's
             mean_kappa=kappa_sum / n,
         ))
     return network, metrics

@@ -76,9 +76,13 @@ def test_unknown_key_is_fatal(old, new):
         parse_config_text(GOOD.replace(old, new))
 
 
-def test_unknown_section_is_fatal():
-    with pytest.raises(ConfigError, match="unknown section"):
-        parse_config_text(GOOD + "\n[extras]\nx = 1\n")
+# configparser would copy [DEFAULT]'s keys into every section; here it is
+# one more section the schema does not know
+@pytest.mark.parametrize("section, key", [("extras", "x = 1"), ("DEFAULT", "take = 5")],
+                         ids=["extras", "DEFAULT"])
+def test_unknown_section_is_fatal(section, key):
+    with pytest.raises(ConfigError, match=rf"^unknown section \[{section}\]$"):
+        parse_config_text(GOOD + f"\n[{section}]\n{key}\n")
 
 
 def test_missing_required_section():
@@ -129,8 +133,14 @@ def test_non_finite_numbers_are_rejected(old, new, key):
     lambda: AdaGradConfig(eps=NAN),
     lambda: DatasetSpec(kind="cifar10", train_files=("a",), test_files=("b",),
                         subsample_ratio=NAN),
+    # and the ends outside subsample_ratio's range (0, 1]
+    lambda: DatasetSpec(kind="cifar10", train_files=("a",), test_files=("b",),
+                        subsample_ratio=0.0),
+    lambda: DatasetSpec(kind="cifar10", train_files=("a",), test_files=("b",),
+                        subsample_ratio=1.5),
 ], ids=["b", "alpha", "local_scale", "weight_decay", "lr_low", "adam_lr",
-        "adam_eps", "adagrad_lr", "adagrad_eps", "subsample_ratio"])
+        "adam_eps", "adagrad_lr", "adagrad_eps", "subsample_ratio", "subsample_ratio_0",
+        "subsample_ratio_1.5"])
 def test_nan_fails_the_dataclass_checks(make):
     with pytest.raises(ConfigError):
         make()

@@ -12,7 +12,7 @@ from conftest import write_idx_pair
 from oracles import pad_crop_flip
 from ressmooth import data
 from ressmooth.data import (Dataset, augment_batch, batches, features, load_cifar10_bin,
-                            load_idx, subsample, take_uniform)
+                            load_idx, take_uniform)
 from ressmooth.errors import ConfigError, FormatError, InputError, ShapeError
 
 
@@ -82,6 +82,18 @@ def test_load_idx_count_mismatch(tmp_path):
                    tmp_path / "i3", tmp_path / "l3", gzipped=False)
     with pytest.raises(FormatError, match="labels for"):
         load_idx(tmp_path / "i", tmp_path / "l3")
+
+
+@pytest.mark.parametrize("file, extra", [("i", b"junk"), ("l", bytes(1)), ("i", bytes(2 * 3))],
+                         ids=["image_junk", "label_byte", "whole_image"])
+def test_load_idx_trailing_bytes_are_an_error(tmp_path, file, extra):
+    write_idx_pair(np.zeros((3, 2, 3), np.uint8), np.zeros(3, np.uint8),
+                   tmp_path / "i", tmp_path / "l", gzipped=False)
+    path = tmp_path / file
+    end = path.stat().st_size
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(FormatError, match=f"{file}: {len(extra)} trailing bytes at offset {end}$"):
+        load_idx(tmp_path / "i", tmp_path / "l")
 
 
 def test_load_idx_label_out_of_range(tmp_path):
@@ -244,38 +256,10 @@ def small_dataset(n=100, features=3, classes=10, seed=24):
                    classes, "train")
 
 
-def test_subsample_full_ratio_is_identity():
-    ds = small_dataset()
-    got = subsample(ds, 1.0, np.random.default_rng(0))
-    assert got is ds  # same order, nothing drawn
-
-
-def test_subsample_half():
-    ds = small_dataset(n=60000, features=1)
-    got = subsample(ds, 0.5, np.random.default_rng(1))
-    assert got.n == 30000
-
-
-def test_subsample_deterministic():
-    ds = small_dataset()
-    a = subsample(ds, 0.25, np.random.default_rng(7))
-    b = subsample(ds, 0.25, np.random.default_rng(7))
-    assert np.array_equal(a.inputs, b.inputs)
-    assert np.array_equal(a.labels, b.labels)
-
-
-def test_subsample_ratio_validation():
-    ds = small_dataset()
-    with pytest.raises(ConfigError):
-        subsample(ds, 0.0, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        subsample(ds, 1.5, np.random.default_rng(0))
-
-
 def test_subsample_preserves_label_marginals():
     labels = (np.arange(60000) % 10).astype(np.int64)
     ds = Dataset(np.zeros((60000, 1)), labels, 10, "train")
-    got = subsample(ds, 0.5, np.random.default_rng(42))
+    got = take_uniform(ds, 30000, np.random.default_rng(42))
     expected = 3000.0
     counts = np.bincount(got.labels, minlength=10)
     assert np.all(np.abs(counts - expected) <= 4.0 * np.sqrt(expected))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import net_of, read_csv, write_idx_pair
 from ressmooth import harness
 from ressmooth.annealing import AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
-from ressmooth.data import features, load_cifar10_bin, load_idx, subsample, take_uniform
+from ressmooth.data import features, load_cifar10_bin, load_idx, take_uniform
 from ressmooth.errors import ConfigError, InputError, TrainingError
 from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, TrialAggregate,
                                TrialRow, evaluate, grid_search, prepare_data, run_trials,
@@ -50,8 +51,11 @@ def blob_pair(make_blobs, seed=0):
 def _subset(spec, train_ds):
     if spec.take > 0:
         train_ds = take_uniform(train_ds, spec.take, substream(spec.seed, "take"))
-    if spec.subsample_ratio < 1.0:
-        train_ds = subsample(train_ds, spec.subsample_ratio, substream(spec.seed, "ratio"))
+    if spec.subsample_ratio < 1.0:  # floor(ratio * n) rows, sorted, from the "ratio" stream
+        count = math.floor(spec.subsample_ratio * train_ds.n)
+        idx = np.sort(substream(spec.seed, "ratio").choice(train_ds.n, size=count, replace=False))
+        train_ds = dataclasses.replace(train_ds, inputs=train_ds.inputs[idx],
+                                       labels=train_ds.labels[idx])
     return train_ds
 
 
@@ -101,7 +105,14 @@ def test_prepare_data_matches_scale_then_subset_oracle(tmp_path, make_spec, subs
         codes = (load_idx(spec.train_images, spec.train_labels),
                  load_idx(spec.test_images, spec.test_labels, "test"))
     kept_codes = (_subset(spec, codes[0]), codes[1])
-    for got, kept, want in zip(prepare_data(cfg), kept_codes, _old_prepare_data(spec, *codes)):
+    prepared = prepare_data(cfg)
+    n = spec.take or codes[0].n
+    assert prepared[0].n == (math.floor(spec.subsample_ratio * n) if spec.subsample_ratio < 1.0
+                             else n)
+    for again, got in zip(prepare_data(cfg), prepared):  # the same rows on every call
+        assert again.inputs.tobytes() == got.inputs.tobytes()
+        assert np.array_equal(again.labels, got.labels)
+    for got, kept, want in zip(prepared, kept_codes, _old_prepare_data(spec, *codes)):
         assert got.inputs.dtype == np.uint8
         assert got.inputs.shape == kept.inputs.shape
         assert got.inputs.tobytes() == kept.inputs.tobytes()
