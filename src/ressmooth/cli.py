@@ -5,27 +5,21 @@ including a checkpoint that does not fit the configured network.
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
 from . import harness, nn
-from .config import parse_config
+from .config import float_list, parse_config
 from .errors import ConfigError, FormatError, InputError, ShapeError, TrainingError
 
 DEFAULT_B_GRID = "0.1,0.3,0.5,0.7,0.9"
 DEFAULT_ALPHA_GRID = "0.25,0.5,1,2,4"
 
 
-def _parse_grid(raw: str, name: str):
-    try:
-        values = [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--{name} {raw!r} is not a comma-separated number list") from None
+def _parse_grid(raw: str, flag: str):
+    values = float_list(raw, flag, None)
     if not values:
-        raise ConfigError(f"--{name} must list at least one value")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"--{name} {raw!r} lists a non-finite value")
+        raise ConfigError(f"{flag} must list at least one value")
     return values
 
 
@@ -79,8 +73,8 @@ def _cmd_train(args) -> int:
 def _cmd_grid(args) -> int:
     config = _load_config(args)
     points, best = harness.grid_search(config,
-                                       _parse_grid(args.b_grid, "b-grid"),
-                                       _parse_grid(args.alpha_grid, "alpha-grid"))
+                                       _parse_grid(args.b_grid, "--b-grid"),
+                                       _parse_grid(args.alpha_grid, "--alpha-grid"))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_aggregate_csv([row for point in points for row in point.rows], out / "grid.csv")

@@ -112,8 +112,16 @@ def _path(raw, name, base_dir):
     return str(base_dir / path)
 
 
-def _paths(raw, name, base_dir):
-    return tuple(_path(p, name, base_dir) for p in raw.split(",") if p.strip())
+def _list(element):
+    """Converter of a comma-separated list of `element` values to a tuple. A
+    blank value is the empty tuple; any other value with a blank entry (a
+    doubled, leading or trailing comma) is an error naming the key."""
+    def convert(raw, name, base_dir):
+        entries = [entry.strip() for entry in raw.split(",")] if raw.strip() else []
+        if not all(entries):
+            raise ConfigError(f"{name} = {raw!r} has a blank entry")
+        return tuple(element(entry, name, base_dir) for entry in entries)
+    return convert
 
 
 def _number(kind, noun):
@@ -122,7 +130,8 @@ def _number(kind, noun):
             value = kind(raw)
         except ValueError:
             raise ConfigError(f"{name} = {raw!r} is not {noun}") from None
-        if not math.isfinite(value):
+        # ints are finite, and math.isfinite overflows on one past float range
+        if kind is float and not math.isfinite(value):
             raise ConfigError(f"{name} = {raw!r} is not a finite number")
         return value
     return convert
@@ -130,6 +139,7 @@ def _number(kind, noun):
 
 _int = _number(int, "an integer")
 _float = _number(float, "a number")
+float_list = _list(_float)  # the CLI's grid flags
 
 
 def _bool(raw, name, base_dir):
@@ -139,25 +149,18 @@ def _bool(raw, name, base_dir):
     return value
 
 
-def _widths(raw, name, base_dir):
-    try:
-        return tuple(int(h.strip()) for h in raw.split(",") if h.strip())
-    except ValueError:
-        raise ConfigError(f"{name} = {raw!r} is not a width list") from None
-
-
 # Every config key: (section, key) -> (target, converter). The key sets the
 # target's field of the same name, except where _FIELDS renames it. Omitted
 # keys take the target dataclass's default; a field without one is required.
 _KEYS = {
     ("dataset", "kind"): (DatasetSpec, _text),
-    **{("dataset", key): (DatasetSpec, _paths if kind == "cifar10" else _path)
+    **{("dataset", key): (DatasetSpec, _list(_path) if kind == "cifar10" else _path)
        for kind, keys in DATASET_FILES.items() for key in keys},
     ("dataset", "take"): (DatasetSpec, _int),
     ("dataset", "subsample_ratio"): (DatasetSpec, _float),
     ("dataset", "seed"): (DatasetSpec, _int),
     ("dataset", "augment"): (DatasetSpec, _bool),
-    ("model", "hidden"): (ModelSpec, _widths),
+    ("model", "hidden"): (ModelSpec, _list(_int)),
     ("model", "output_activation"): (ModelSpec, _text),
     ("optimizer", "kind"): (_OPTIMIZER, _text),
     **{("optimizer", f.name): (_OPTIMIZER, {int: _int, float: _float}[f.type])

@@ -164,12 +164,14 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
         raw = _read_maybe_gzip(path)
         if len(raw) % CIFAR_RECORD_BYTES != 0:
             raise FormatError(f"{path}: size {len(raw)} not a multiple of {CIFAR_RECORD_BYTES}")
-        parts.append(np.frombuffer(raw, np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
+        part = np.frombuffer(raw, np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        bad = np.flatnonzero(part[:, 0] > 9)
+        if bad.size:
+            raise FormatError(f"{path}: label {part[bad[0], 0]} exceeds 9 "
+                              f"at offset {bad[0] * CIFAR_RECORD_BYTES}")
+        parts.append(part)
     records = np.concatenate(parts) if parts else np.zeros((0, CIFAR_RECORD_BYTES), np.uint8)
-    labels = records[:, 0].astype(np.int64)
-    if labels.size and int(labels.max()) > 9:
-        raise FormatError(f"label {int(labels.max())} exceeds 9")
-    return Dataset(records[:, 1:], labels, 10, split)
+    return Dataset(records[:, 1:], records[:, 0].astype(np.int64), 10, split)
 
 
 def features(rows: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .annealing import scale_at
 from .config import DATASET_FILES, DatasetSpec, ExperimentConfig
 from .errors import ConfigError, InputError, TrainingError
 
-_EVAL_CHUNK = 1024  # rows; a chunk of scaled features stays in cache
+_EVAL_CHUNK = 1024  # rows per product; fixed, as a row's bits depend on its product's row count
 _STREAMS = {"init": 0, "shuffle": 1, "augment": 2, "take": 3, "ratio": 4}
 
 

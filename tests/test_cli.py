@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,29 @@ def test_bad_grid_flag_exits_nonzero(tiny_corpus, tmp_path, capsys):
 def test_non_finite_grid_value_exits_nonzero(tiny_corpus, tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out), flag, value]) == 2
-    assert f"error: {flag} {value!r} lists a non-finite value" in capsys.readouterr().err
+    entry = value.split(",")[-1]  # the non-finite one
+    assert f"error: {flag} = {entry!r} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_DATASET = r"\[dataset\].*?\n\n"  # the whole [dataset] section of tiny_corpus
+_CIFAR = "[dataset]\nkind = cifar10\ntrain_files = {}\ntest_files = {}\n\n"
+
+
+@pytest.mark.parametrize("argv, edit, name", [
+    (["grid", "--b-grid", "0.1,,0.5"], None, "--b-grid"),
+    (["grid", "--alpha-grid", "1,"], None, "--alpha-grid"),
+    (["train"], ("hidden = 8", "hidden = 8,"), "[model] hidden"),
+    (["train"], (_DATASET, _CIFAR.format("a.bin, , b.bin", "t.bin")), "[dataset] train_files"),
+    (["train"], (_DATASET, _CIFAR.format("a.bin", ",t.bin")), "[dataset] test_files"),
+], ids=["b_grid", "alpha_grid", "hidden", "train_files", "test_files"])
+def test_a_blank_list_entry_exits_nonzero(tiny_corpus, tmp_path, capsys, argv, edit, name):
+    if edit:
+        tiny_corpus.write_text(re.sub(*edit, tiny_corpus.read_text(), count=1, flags=re.S))
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(tiny_corpus), "--out-dir", str(out), *argv[1:]]) == 2
+    assert re.search(rf"^error: {re.escape(name)} = '.*' has a blank entry$",
+                     capsys.readouterr().err, flags=re.M)
     assert not out.exists()
 
 

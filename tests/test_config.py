@@ -1,6 +1,12 @@
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ressmooth.annealing import AnnealSchedule
+from ressmooth.cli import _parse_grid
 from ressmooth.config import (DatasetSpec, ExperimentConfig, ModelSpec, parse_config,
                               parse_config_text)
 from ressmooth.errors import ConfigError
@@ -121,6 +127,11 @@ def test_non_finite_numbers_are_rejected(old, new, key):
         parse_config_text(GOOD.replace(old, new))
 
 
+def test_an_integer_past_float_range_parses():
+    huge = 10**400  # math.isfinite(huge) raises OverflowError
+    assert parse_config_text(GOOD.replace("take = 10000", f"take = {huge}")).dataset.take == huge
+
+
 @pytest.mark.parametrize("make", [
     lambda: AnnealSchedule(b=NAN),
     lambda: SmoothingConfig(alpha=NAN),
@@ -236,6 +247,81 @@ def test_regularizer_section_optional():
     assert cfg.smoothing.mode == "off"
     assert cfg.schedule.kind == "off"
     assert cfg.label_smoothing == 0.0
+
+
+# the three list parsers that `config._list` replaced, as references: each
+# dropped blank entries
+
+def _old_widths(raw):
+    return tuple(int(h.strip()) for h in raw.split(",") if h.strip())
+
+
+def _old_paths(raw, base_dir):
+    paths = (p.strip() for p in raw.split(",") if p.strip())
+    return tuple(p if Path(p).is_absolute() else str(base_dir / p) for p in paths)
+
+
+def _old_grid(raw):
+    return [float(v) for v in raw.split(",") if v.strip()]
+
+
+BASE = Path("/configs")
+
+
+def _hidden(raw):
+    return parse_config_text(GOOD.replace("hidden = 256", f"hidden = {raw}")).model.hidden
+
+
+def _train_files(raw):
+    dataset = CIFAR_DATASET.replace("a.bin, b.bin", raw)
+    return parse_config_text(dataset + GOOD[GOOD.index("[model]"):], BASE).dataset.train_files
+
+
+def _hex(values):
+    return [v.hex() for v in values]  # tells -0.0 from 0.0
+
+
+_PAD = st.text(" \t", max_size=2)
+
+
+@st.composite
+def _comma_lists(draw, entry):
+    """(raw, blank): `entry` strings padded with blanks and joined by commas,
+    and whether an extra blank entry went in (a doubled, leading or trailing
+    comma)."""
+    entries = draw(st.lists(entry, min_size=1, max_size=4))
+    blank = draw(st.booleans())
+    if blank:
+        entries.insert(draw(st.integers(0, len(entries))), draw(_PAD))
+    return ",".join(draw(_PAD) + e + draw(_PAD) for e in entries), blank
+
+
+# widths past float range, which math.isfinite cannot take, included
+@pytest.mark.parametrize("name, entry, parse, old", [
+    ("[model] hidden", st.integers(1, 10**400).map(str), _hidden, _old_widths),
+    ("[dataset] train_files", st.text("ab./_-", min_size=1), _train_files,
+     lambda raw: _old_paths(raw, BASE)),
+    ("--b-grid", st.floats(allow_nan=False, allow_infinity=False).map(repr),
+     lambda raw: _hex(_parse_grid(raw, "--b-grid")), lambda raw: _hex(_old_grid(raw))),
+], ids=["hidden", "train_files", "b_grid"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_blank_list_entry_is_refused_and_the_rest_parse_as_before(name, entry, parse, old,
+                                                                    data):
+    raw, blank = data.draw(_comma_lists(entry))
+    if blank:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} = '.*' has a blank entry$"):
+            parse(raw)
+    else:
+        assert parse(raw) == old(raw)
+
+
+def test_a_blank_list_value_is_an_empty_list():
+    assert _hidden("") == ()  # no hidden layer
+    with pytest.raises(ConfigError, match="^dataset kind cifar10 needs train_files$"):
+        _train_files("")
+    with pytest.raises(ConfigError, match="^--b-grid must list at least one value$"):
+        _parse_grid("", "--b-grid")
 
 
 def test_cifar_requires_file_lists():

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 import zlib
 from unittest import mock
@@ -134,6 +135,14 @@ def test_load_cifar_concatenates_in_order(tmp_path):
     write_cifar(tmp_path / "b.bin", [3])
     ds = load_cifar10_bin([tmp_path / "a.bin", tmp_path / "b.bin"])
     assert ds.labels.tolist() == [1, 2, 3]
+
+
+def test_load_cifar_bad_label_names_its_file_and_offset(tmp_path):
+    write_cifar(tmp_path / "a.bin", [1, 2])
+    write_cifar(tmp_path / "b.bin", [3, 12, 15])  # records 1 and 2 are bad; 1 is reported
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path / 'b.bin'))}: "
+                                          r"label 12 exceeds 9 at offset 3073$"):
+        load_cifar10_bin([tmp_path / "a.bin", tmp_path / "b.bin"])
 
 
 def test_load_cifar_plane_order(tmp_path):

@@ -8,7 +8,8 @@ Both checkouts' `perfbench/run.py` run unchanged, one process at a time. For
 each workload and seed, one warm-up run per side comes first and is thrown
 away: it fills the checkout's input cache, so the generator's memory never
 lands in a reported run. Then come `--pairs` pairs, the parent first in odd
-pairs and the change first in even ones.
+pairs and the change first in even ones; `--pairs` must be even, so that
+each side runs first equally often.
 
 The output keeps the layout of the earlier `BENCH_<pr>.json` files:
 `reports` holds the change's report (facts and metrics) from the last pair,
@@ -93,8 +94,17 @@ def main(argv=None) -> int:
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--out", required=True, type=Path, help="report file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error(f"--pairs must be even and >= 2, so each side runs first as often; "
+                     f"got {args.pairs}")
+    workloads = [w.strip() for w in args.workloads.split(",")]
+    seeds = [s.strip() for s in args.seeds.split(",")]
+    if not all(workloads + seeds):
+        parser.error("--workloads and --seeds take comma-separated entries, none of them blank")
+    try:
+        seeds = [int(s) for s in seeds]
+    except ValueError:
+        parser.error(f"--seeds {args.seeds!r} is not a comma-separated integer list")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -111,8 +121,8 @@ def main(argv=None) -> int:
                        "median and quartiles, the pairs the change won and the median "
                        "change - parent, those two again split by whether the change ran "
                        "first or second, and each side's src_lines")
-    for workload in args.workloads.split(","):
-        for seed in (int(s) for s in args.seeds.split(",")):
+    for workload in workloads:
+        for seed in seeds:
             key = f"{workload}-seed{seed}" + ("-trace" if args.trace else "")
 
             def run(side):
