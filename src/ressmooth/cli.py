@@ -72,15 +72,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _load_config(args)
-    points, best = harness.grid_search(config,
-                                       _parse_grid(args.b_grid, "--b-grid"),
-                                       _parse_grid(args.alpha_grid, "--alpha-grid"))
+    b_values = _parse_grid(args.b_grid, "--b-grid")
+    alpha_values = _parse_grid(args.alpha_grid, "--alpha-grid")
+    rows, (b, alpha, mean_max_val_acc) = harness.grid_search(config, b_values, alpha_values)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    harness.write_aggregate_csv([row for point in points for row in point.rows], out / "grid.csv")
-    print(f"grid points: {len(points)}")
-    print(f"best b={best.rows[0].b:g} alpha={best.rows[0].alpha:g} "
-          f"mean max val acc: {best.mean_max_val_acc:.6f}")
+    harness.write_aggregate_csv(rows, out / "grid.csv")
+    print(f"grid points: {len(b_values) * len(alpha_values)}")
+    print(f"best b={b:g} alpha={alpha:g} mean max val acc: {mean_max_val_acc:.6f}")
     return 0
 
 

@@ -151,8 +151,9 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     count, rows, cols = images.shape
     if labels.size != count:
         raise FormatError(f"{labels_path}: {labels.size} labels for {count} images")
-    if labels.size and int(labels.max()) > 9:
-        raise FormatError(f"{labels_path}: label {int(labels.max())} exceeds 9")
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:  # label i sits at offset 8 + i, past the magic and count words
+        raise FormatError(f"{labels_path}: label {labels[bad[0]]} exceeds 9 at offset {8 + bad[0]}")
     return Dataset(images.reshape(count, rows * cols), labels, 10, split)
 
 

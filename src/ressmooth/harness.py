@@ -208,10 +208,9 @@ def run_trials(config: ExperimentConfig, dataset_pair=None) -> TrialAggregate:
 
 
 def grid_search(config: ExperimentConfig, b_values, alpha_values):
-    """run_trials per (b, alpha) grid point, in (b, alpha) order. Returns the
-    points' aggregates and the best one: the largest mean of per-trial max
-    validation accuracy, ties broken by smallest (b, alpha), which a point's
-    rows carry. An axis with several values must be one the config reads."""
+    """run_trials per (b, alpha) point, in (b, alpha) order, keeping only each point's rows.
+    Returns (rows, best), best the (b, alpha, mean max val acc) of the largest mean, ties
+    to the smallest (b, alpha). An axis with several values must be one the config reads."""
     if not b_values or not alpha_values:
         raise ConfigError("grid values must be non-empty")
     sm, schedule = config.smoothing, config.schedule
@@ -233,15 +232,16 @@ def grid_search(config: ExperimentConfig, b_values, alpha_values):
                               f"reads {name}: every point of the {name} grid {sorted(values)} "
                               "would train the same network")
     dataset_pair = prepare_data(config)
-    points = []
+    rows, best = [], None
     for b in sorted(b_values):
         for alpha in sorted(alpha_values):
-            cfg = replace(config,
-                          schedule=replace(schedule, b=b),
-                          smoothing=replace(sm, alpha=alpha))
-            points.append(run_trials(cfg, dataset_pair))
-    best = min(points, key=lambda p: (-p.mean_max_val_acc, p.rows[0].b, p.rows[0].alpha))
-    return tuple(points), best
+            point = run_trials(replace(config, schedule=replace(schedule, b=b),
+                                       smoothing=replace(sm, alpha=alpha)), dataset_pair)
+            rows.extend(point.rows)
+            if best is None or point.mean_max_val_acc > best[2]:  # a tie keeps the smaller point
+                best = (b, alpha, point.mean_max_val_acc)
+            del point  # and its networks, before the next point trains
+    return rows, best
 
 
 def _write_rows(rows, header, path):

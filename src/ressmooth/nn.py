@@ -43,7 +43,11 @@ class Network:
         ends = np.cumsum(sizes).tolist()
         self._bounds = list(zip([0, *ends[:-1]], ends))  # built once: views() runs every step
         self.n_weights = ends[len(self.shapes) - 1]
-        self.params = np.zeros(ends[-1])
+        try:
+            self.params = np.zeros(ends[-1])
+        except (ValueError, MemoryError) as exc:  # too many entries to address, or to allocate
+            raise ShapeError(f"dims {self.dims} need {ends[-1]} parameters, "
+                             "more than can be allocated") from exc
         self.weights, self.biases = self.views(self.params)
 
     def views(self, flat: np.ndarray):

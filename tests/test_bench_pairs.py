@@ -62,6 +62,34 @@ def test_summary_counts_strict_wins_and_carries_src_lines(tmp_path, monkeypatch)
     assert all(p["outputs_identical"] for p in pairs)
 
 
+def test_summary_counts_identical_outputs_and_failed_trials(tmp_path, monkeypatch):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+    calls = {"parent": 0, "change": 0}
+
+    def run_once(checkout, workload, seed, seconds, trace, size):
+        # after the warm-up, the change's outputs differ in its second pair
+        # and one of its trials fails in its fourth; the parent never fails
+        side = "parent" if checkout == sides["parent"].resolve() else "change"
+        k = calls[side]
+        calls[side] += 1
+        digest = "1" if (side, k) == ("change", 2) else "0"
+        return {"facts": {"src_lines": SRC_LINES[side], "outputs_sha256": {"a": digest}},
+                "metrics": {"run_s": RUN_S[side][k]},
+                "failed": int((side, k) == ("change", 4))}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workloads", "many_class", "--pairs", "4",
+                             "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]["many_class-seed17"]
+    assert summary["outputs_identical"] == {"identical": 3, "pairs": 4}
+    assert summary["failed"] == {"parent": 0, "change": 1}
+
+
 @pytest.mark.parametrize("flags", [["--pairs", "3"], ["--pairs", "1"], ["--pairs", "0"],
                                    ["--seeds", "17,"], ["--seeds", "17,,23"], ["--seeds", "x"],
                                    ["--workloads", "many_class,"]],

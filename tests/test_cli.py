@@ -117,6 +117,23 @@ def test_eval_takes_only_config_and_checkpoint(tiny_corpus, tmp_path):
         assert exc.value.code == 2  # argparse's usage error
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("width", [10**17, 10**12], ids=["past_addressing", "past_memory"])
+def test_a_network_too_large_to_allocate_exits_nonzero(tiny_corpus, tmp_path, capsys,
+                                                       command, width):
+    # neither can be allocated, not even lazily: 10**17 * 75 float64 entries
+    # pass numpy's largest array size, 10**12 * 75 of them any address space
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("hidden = 8", f"hidden = {width}"))
+    flags = {"train": ["--out-dir", str(tmp_path / "out")],
+             "eval": ["--checkpoint", str(tmp_path / "x.rsm")]}[command]
+    before = sorted(tmp_path.iterdir())
+    assert main([command, "--config", str(tiny_corpus), *flags]) == 2
+    dims, count = [64, width, 10], 64 * width + width * 10 + width + 10
+    assert capsys.readouterr().err == (f"error: dims {dims} need {count} parameters, "
+                                       "more than can be allocated\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_negative_seed_exits_nonzero(tiny_corpus, tmp_path, capsys):
     code = main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "out"),
                  "--seed", "-1"])

@@ -98,10 +98,12 @@ def test_load_idx_trailing_bytes_are_an_error(tmp_path, file, extra):
 
 
 def test_load_idx_label_out_of_range(tmp_path):
-    write_idx_pair(np.zeros((1, 2, 2), np.uint8), np.array([11], np.uint8),
+    # the first bad label is named, at its byte offset past the 8-byte header
+    write_idx_pair(np.zeros((3, 2, 2), np.uint8), np.array([3, 11, 12], np.uint8),
                    tmp_path / "i", tmp_path / "l", gzipped=False)
-    with pytest.raises(FormatError, match="exceeds"):
+    with pytest.raises(FormatError) as exc:
         load_idx(tmp_path / "i", tmp_path / "l")
+    assert str(exc.value) == f"{tmp_path / 'l'}: label 11 exceeds 9 at offset 9"
 
 
 # --- CIFAR-10 binary ---------------------------------------------------------------

@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import net_of, read_csv, write_idx_pair
-from ressmooth import harness
+from ressmooth import harness, optim
 from ressmooth.annealing import AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.data import features, load_cifar10_bin, load_idx, take_uniform
@@ -281,6 +283,23 @@ def test_divergence_aborts_with_diagnostic(make_blobs):
             train(cfg, 0, pair)
 
 
+def test_parameters_poisoned_by_the_last_step_fail_the_epoch_end_check(make_blobs,
+                                                                       monkeypatch):
+    # one batch per epoch: its loss is taken before the step that writes NaN
+    # into the last bias, so only the check after the epoch can see it
+    real_step = optim.Sgd.step
+
+    def poisoning_step(self, network, grads, progress):
+        real_step(self, network, grads, progress)
+        network.biases[-1][0] = np.nan
+
+    monkeypatch.setattr(optim.Sgd, "step", poisoning_step)
+    pair = blob_pair(make_blobs)
+    assert pair[0].n <= 128
+    with pytest.raises(TrainingError, match=r"^non-finite parameters in layer 1 after epoch 0$"):
+        train(blob_config(epochs=3, batch_size=128), 0, pair)
+
+
 def test_augmentation_path_is_deterministic_and_active():
     from ressmooth.data import Dataset
     rng = np.random.default_rng(30)
@@ -431,14 +450,13 @@ def test_grid_single_point_equals_run_trials(make_blobs, monkeypatch):
     monkeypatch.setattr("ressmooth.harness.prepare_data", lambda cfg: pair)
     cfg = blob_config(epochs=4, trials=1, mode="global_local",
                       schedule_kind="laplace", alpha=1.0)
-    points, best = grid_search(cfg, [0.5], [1.0])
-    assert len(points) == 1
+    rows, best = grid_search(cfg, [0.5], [1.0])
     direct = run_trials(dataclasses.replace(
         cfg,
         schedule=dataclasses.replace(cfg.schedule, b=0.5),
         smoothing=dataclasses.replace(cfg.smoothing, alpha=1.0)), pair)
-    assert points[0].rows == direct.rows
-    assert best is points[0] and best.rows[0].b == 0.5
+    assert tuple(rows) == direct.rows
+    assert best == (0.5, 1.0, direct.mean_max_val_acc)
 
 
 def test_grid_shape_and_tags(make_blobs, monkeypatch):
@@ -446,11 +464,13 @@ def test_grid_shape_and_tags(make_blobs, monkeypatch):
     monkeypatch.setattr("ressmooth.harness.prepare_data", lambda cfg: pair)
     cfg = blob_config(epochs=2, trials=2, mode="global_local",
                       schedule_kind="laplace", alpha=1.0)
-    points, best = grid_search(cfg, [0.3, 0.1], [2.0, 1.0])
-    assert [[(r.b, r.alpha, r.trial) for r in p.rows] for p in points] == [
-        [(b, alpha, k) for k in range(2)]
-        for b, alpha in [(0.1, 1.0), (0.1, 2.0), (0.3, 1.0), (0.3, 2.0)]]
-    assert best in points
+    rows, best = grid_search(cfg, [0.3, 0.1], [2.0, 1.0])
+    points = [(0.1, 1.0), (0.1, 2.0), (0.3, 1.0), (0.3, 2.0)]
+    assert [(r.b, r.alpha, r.trial) for r in rows] == [
+        (b, alpha, k) for b, alpha in points for k in range(2)]
+    means = [(rows[2 * i].max_val_acc + rows[2 * i + 1].max_val_acc) / 2 for i in range(4)]
+    first_best = means.index(max(means))
+    assert best == (*points[first_best], means[first_best])
 
 
 def _equal_aggregate(cfg, dataset_pair):
@@ -463,10 +483,46 @@ def test_grid_tie_break_prefers_smallest(monkeypatch):
     monkeypatch.setattr(harness, "prepare_data", lambda cfg: None)
     monkeypatch.setattr(harness, "run_trials", _equal_aggregate)
     cfg = blob_config(mode="global_local", schedule_kind="laplace", alpha=1.0)
-    points, best = grid_search(cfg, [0.7, 0.3], [2.0, 0.5])
-    assert [(p.rows[0].b, p.rows[0].alpha) for p in points] == [(0.3, 0.5), (0.3, 2.0),
-                                                                (0.7, 0.5), (0.7, 2.0)]
-    assert best is points[0]
+    rows, best = grid_search(cfg, [0.7, 0.3], [2.0, 0.5])
+    assert [(r.b, r.alpha) for r in rows] == [(0.3, 0.5), (0.3, 2.0), (0.7, 0.5), (0.7, 2.0)]
+    assert best == (0.3, 0.5, 50.0)
+
+
+def test_grid_best_is_the_first_point_of_the_largest_mean(monkeypatch):
+    def run_trials(cfg, dataset_pair):  # two points tie at the largest mean, after a worse one
+        mean = {(0.3, 0.5): 40.0, (0.3, 2.0): 60.0, (0.7, 0.5): 60.0}.get(
+            (cfg.schedule.b, cfg.smoothing.alpha), 50.0)
+        row = TrialRow(cfg.schedule.b, cfg.smoothing.alpha, 0, mean, 40.0)
+        return TrialAggregate((row,), mean, 40.0, ((),), (None,))
+
+    monkeypatch.setattr(harness, "prepare_data", lambda cfg: None)
+    monkeypatch.setattr(harness, "run_trials", run_trials)
+    cfg = blob_config(mode="global_local", schedule_kind="laplace", alpha=1.0)
+    assert grid_search(cfg, [0.7, 0.3], [2.0, 0.5])[1] == (0.3, 2.0, 60.0)
+
+
+def test_grid_keeps_no_network(make_blobs, monkeypatch):
+    # a weakref to every network train returns: once a point ends, its
+    # networks are gone, both while the next point trains and in the result
+    pair = blob_pair(make_blobs)
+    monkeypatch.setattr(harness, "prepare_data", lambda cfg: pair)
+    real_train, refs, alive_at_start = harness.train, [], []
+
+    def spy(*args):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        network, metrics = real_train(*args)
+        refs.append(weakref.ref(network))
+        return network, metrics
+
+    monkeypatch.setattr(harness, "train", spy)
+    cfg = blob_config(epochs=1, trials=2, mode="global_local", schedule_kind="laplace",
+                      alpha=1.0)
+    result = grid_search(cfg, [0.1, 0.3], [1.0, 2.0])
+    gc.collect()
+    assert len(result[0]) == len(refs) == 8
+    assert alive_at_start == [0, 1] * 4  # only the point's own earlier trial
+    assert [ref() for ref in refs] == [None] * 8
 
 
 @pytest.mark.parametrize("mode, kind, const_s, b_values, alpha_values, unread", [
@@ -490,8 +546,8 @@ def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
     cfg = blob_config(mode=mode, alpha=1.0)
     cfg = dataclasses.replace(cfg, schedule=AnnealSchedule(kind=kind, const_s=const_s))
     if unread is None:
-        points, _ = grid_search(cfg, b_values, alpha_values)
-        assert len(points) == len(b_values) * len(alpha_values)
+        rows, _ = grid_search(cfg, b_values, alpha_values)
+        assert len(rows) == len(b_values) * len(alpha_values)  # one trial per point
     else:
         with pytest.raises(ConfigError, match=f"never reads {unread}: every point"):
             grid_search(cfg, b_values, alpha_values)

@@ -19,9 +19,11 @@ keyed by `<workload>-seed<seed>` (`-trace` appended for `--trace 1` runs).
 pairs the change won (a strictly better value, in the direction
 BENCHMARK.json gives) and the median change - parent, the same two again
 under `change_first` and `change_second` for the pairs where the change ran
-first and second, and under `src_lines` each side's source line count, so
-code size sits next to the numbers. An existing `--out` file is extended: its other
-keys are kept.
+first and second; under `outputs_identical` the number of pairs whose
+`outputs_sha256` matched, out of the pairs run, and under `failed` each
+side's total of failed trials; and under `src_lines` each side's source line
+count, so code size sits next to the numbers. An existing `--out` file is
+extended: its other keys are kept.
 Standard library only.
 """
 
@@ -69,7 +71,8 @@ def wins(pairs, name: str, sign: float) -> dict:
 def summarize(pairs, better: dict) -> dict:
     """Per metric: both sides' spread and `wins` over all pairs, then `wins`
     over the pairs where the change ran first and over those where it ran
-    second, since the side that runs second tends to read slower."""
+    second, since the side that runs second tends to read slower. Then the
+    pairs with identical outputs and each side's failed trials, summed."""
     by_first = {side: [p for p in pairs if p["first"] == side] for side in ("change", "parent")}
     out = {}
     for name in pairs[0]["change"]:
@@ -79,6 +82,9 @@ def summarize(pairs, better: dict) -> dict:
                      **wins(pairs, name, sign),
                      "change_first": wins(by_first["change"], name, sign),
                      "change_second": wins(by_first["parent"], name, sign)}
+    out["outputs_identical"] = {"identical": sum(p["outputs_identical"] for p in pairs),
+                                "pairs": len(pairs)}
+    out["failed"] = {side: sum(p["failed"][side] for p in pairs) for side in ("parent", "change")}
     return out
 
 
@@ -120,7 +126,9 @@ def main(argv=None) -> int:
                        "one discarded warm-up run per side; summary: per metric, each side's "
                        "median and quartiles, the pairs the change won and the median "
                        "change - parent, those two again split by whether the change ran "
-                       "first or second, and each side's src_lines")
+                       "first or second, the pairs with identical outputs_sha256 out of the "
+                       "pairs run, each side's total of failed trials, and each side's "
+                       "src_lines")
     for workload in workloads:
         for seed in seeds:
             key = f"{workload}-seed{seed}" + ("-trace" if args.trace else "")
