@@ -8,7 +8,9 @@ Gzip-wrapped IDX files are accepted. CIFAR-10 binary: 3073-byte records,
 one label byte then 1024 R + 1024 G + 1024 B plane bytes.
 
 A gzip file is inflated a piece at a time into one buffer sized from its
-ISIZE trailer. The loaders return the raw uint8 pixel codes (the IDX one a
+ISIZE trailer. A clean inflate is kept in $XDG_CACHE_HOME/ressmooth, named by
+the file's sha256, and read back by later loads when its length and CRC-32
+match the trailer. The loaders return the raw uint8 pixel codes (the IDX one a
 read-only view of the decoded bytes), and the codes stay codes through
 subsetting, batching and augmentation: `features` turns one batch or one
 evaluation chunk at a time into float64 features in [0, 1] by /255, with no
@@ -17,10 +19,13 @@ of CIFAR rows; the per-image reference it is tested against lives in the
 tests (`oracles.py`).
 """
 
+import contextlib
 import gzip
+import hashlib
 import math
 import os
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -69,10 +74,11 @@ class Dataset:
 def _read_maybe_gzip(path):
     """The file's bytes, gunzipped when it starts with the gzip magic.
 
-    A one-member stream is inflated into one buffer and returned as a read-only
-    view. Every stream that path does not take to a verified end (damaged,
-    multi-member, trailing bytes) goes to `gzip.decompress`, so the result, or
-    the cause of the `FormatError`, is always the reference decoder's."""
+    A one-member stream is inflated into one buffer, or read from its cache
+    entry, and returned as a read-only view. Every stream that path does not
+    take to a verified end (damaged, multi-member, trailing bytes) goes to
+    `gzip.decompress`, so the result, or the cause of the `FormatError`, is
+    always the reference decoder's."""
     with open(path, "rb") as f:
         if f.read(2) != b"\x1f\x8b":
             f.seek(0)
@@ -89,18 +95,23 @@ def _read_maybe_gzip(path):
 def _inflate_one_member(f):
     """Inflate a gzip file holding one member into a uint8 array of its ISIZE
     (the decoded size mod 2**32), or None when the stream does not end
-    cleanly at exactly that size and at the end of the file."""
+    cleanly at exactly that size and at the end of the file. A cache entry
+    that passes the trailer's checks stands in for the inflate, and a clean
+    inflate is stored as the entry."""
     compressed = os.fstat(f.fileno()).st_size
     if compressed < 18:  # shorter than a gzip header and trailer
         return None
-    f.seek(-4, os.SEEK_END)
-    size = int.from_bytes(f.read(4), "little")
+    f.seek(-8, os.SEEK_END)
+    crc, size = struct.unpack("<II", f.read(8))
     if size > _MAX_DEFLATE_RATIO * compressed:
         return None
     try:
         out = np.empty(size, np.uint8)  # untouched pages cost no memory
     except MemoryError:
         return None
+    entry = _cache_entry(f)
+    if entry is not None and _read_entry(entry, out, crc):
+        return out
     view = memoryview(out)
     f.seek(0)
     inflater = zlib.decompressobj(31)
@@ -120,7 +131,52 @@ def _inflate_one_member(f):
         pos += len(chunk)
     if pos != size or inflater.unused_data or f.read(1):
         return None
+    if entry is not None:
+        _write_entry(entry, out)
     return out
+
+
+def _cache_entry(f):
+    """The cache path of the open file's bytes, $XDG_CACHE_HOME/ressmooth/<sha256>
+    (~/.cache/ressmooth/ when that is unset or relative), or None without a home."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        home = os.path.expanduser("~")
+        if not (os.path.isabs(home) and os.path.isdir(home)):
+            return None
+        base = os.path.join(home, ".cache")
+    digest = hashlib.sha256()
+    f.seek(0)
+    while piece := f.read(_GZIP_PIECE):
+        digest.update(piece)
+    return os.path.join(base, "ressmooth", digest.hexdigest())
+
+
+def _read_entry(entry, out, crc) -> bool:
+    """Fill `out` from a cache entry; True only when the entry has out's
+    length and the trailer's CRC-32, the check gunzip applies."""
+    try:
+        with open(entry, "rb") as f:
+            return (os.fstat(f.fileno()).st_size == out.size and f.readinto(out) == out.size
+                    and zlib.crc32(out) == crc)
+    except OSError:
+        return False
+
+
+def _write_entry(entry, out):
+    """Store a verified inflate as the cache entry, through a temp file in the
+    cache dir and os.replace; an OSError skips the store and leaves no temp file."""
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(entry))
+        with open(fd, "wb") as f:
+            f.write(out)
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _read_idx(path, magic: int, ndim: int) -> np.ndarray:

@@ -131,6 +131,7 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             yb = table[lb]
             acts = nn.forward_batch(network, data_mod.features(xb))
             preds = acts[-1]
+            correct += int((np.argmax(preds, axis=1) == lb).sum())  # while preds is warm
             s_t = scale_at(config.schedule, progress) if sm.mode != "off" else 0.0
             loss_rows, grad_rows, kappa = smoothing.batch_smoothed_loss_grad(preds, yb, s_t, sm)
             kappa_sum += float(kappa.mean(axis=1).sum())
@@ -138,7 +139,6 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             if not math.isfinite(batch_loss):
                 raise TrainingError(_diagnose_nonfinite(network, epoch, batch_idx, t))
             loss_sum += batch_loss
-            correct += int((np.argmax(preds, axis=1) == lb).sum())
             grad_rows /= idx.size
             nn.backward_batch(network, acts, grad_rows, grads)
             optimizer.step(network, grads, progress)
@@ -218,17 +218,21 @@ def grid_search(config: ExperimentConfig, b_values, alpha_values):
         raise ConfigError("smoothing mode off has no (b, alpha) to search: "
                           "every grid point would train the same network")
     # b shapes s_t, which only the annealed global modes read; alpha shapes
-    # the sigmoid of the local modes, and does nothing when s_t is always 0
+    # the sigmoid of the local modes, and does nothing when its scale (s_t,
+    # or local_scale in mode local) is always 0
     s_always_zero = schedule.kind == "off" or (schedule.kind == "constant"
                                                and schedule.const_s == 0.0)
     reads = {"b": (sm.mode in ("global", "global_local")
                    and schedule.kind in ("laplace", "logistic")),
-             "alpha": sm.mode == "local" or (sm.mode == "global_local" and not s_always_zero)}
+             "alpha": ((sm.mode == "local" and sm.local_scale != 0.0)
+                       or (sm.mode == "global_local" and not s_always_zero))}
     for name, values in (("b", b_values), ("alpha", alpha_values)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} grid {sorted(values)} repeats a value")
         if len(values) > 1 and not reads[name]:
-            raise ConfigError(f"smoothing mode {sm.mode} with schedule {schedule.kind} never "
+            setting = (f"local_scale {sm.local_scale:g}" if (name, sm.mode) == ("alpha", "local")
+                       else f"schedule {schedule.kind}")
+            raise ConfigError(f"smoothing mode {sm.mode} with {setting} never "
                               f"reads {name}: every point of the {name} grid {sorted(values)} "
                               "would train the same network")
     dataset_pair = prepare_data(config)

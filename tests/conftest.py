@@ -27,6 +27,16 @@ FASHION_FILES = {
 }
 
 
+@pytest.fixture(scope="session", autouse=True)
+def decoded_gzip_cache(tmp_path_factory):
+    """Point XDG_CACHE_HOME, and with it the loaders' cache of inflated gzip
+    files, at a directory of this session's own, for every test and any
+    process a test starts: the user's cache is neither read nor filled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def fd_grad():
     """Central-difference gradient of a scalar function w.r.t. a list of

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import re
 import struct
 import zlib
@@ -257,6 +258,101 @@ def test_damaged_gzip_decodes_like_gzip_decompress_or_is_a_format_error(gz_path,
         assert type(err.value.__cause__) is type(exc)
     else:
         assert _streamed(gz_path, blob, piece) == want
+
+
+# --- cache of inflated files ------------------------------------------------------------
+
+def _gz_file(path, seed=29, size=5000):
+    """A one-member gzip file of random bytes at `path`; returns its decoded bytes."""
+    payload = np.random.default_rng(seed).integers(0, 256, size).astype(np.uint8).tobytes()
+    path.write_bytes(gzip.compress(payload, compresslevel=1, mtime=0))
+    return payload
+
+
+def _entry(cache, path):
+    return cache / "ressmooth" / hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
+def _no_inflate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("inflated")
+    monkeypatch.setattr(data.zlib, "decompressobj", refuse)
+    monkeypatch.setattr(data.gzip, "decompress", refuse)
+
+
+def test_a_second_load_inflates_nothing(tmp_path, cache, monkeypatch):
+    _gz_file(tmp_path / "f.gz")
+    want = gzip.decompress((tmp_path / "f.gz").read_bytes())
+    assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == want
+    _no_inflate(monkeypatch)
+    warm = data._read_maybe_gzip(tmp_path / "f.gz")
+    assert warm.readonly and bytes(warm) == want
+
+
+def test_a_damaged_copy_of_a_cached_file_is_the_same_format_error(tmp_path, cache):
+    path = tmp_path / "f.gz"
+    _gz_file(path)
+    data._read_maybe_gzip(path)
+    intact = _entry(cache, path)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 1  # one bit in the middle of the deflate stream
+    path.write_bytes(blob)
+    with pytest.raises((EOFError, zlib.error, gzip.BadGzipFile)) as reference:
+        gzip.decompress(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        data._read_maybe_gzip(path)
+    assert str(err.value) == f"{path}: corrupt gzip stream: {reference.value}"
+    assert type(err.value.__cause__) is type(reference.value)
+    assert list((cache / "ressmooth").iterdir()) == [intact]
+
+
+@pytest.mark.parametrize("damage", [lambda e: e[:-1], lambda e: e + b"\0",
+                                    lambda e: e[:7] + bytes([e[7] ^ 4]) + e[8:]],
+                         ids=["truncated", "extended", "bit-flipped"])
+def test_a_damaged_entry_is_a_miss_and_is_rewritten(tmp_path, cache, damage):
+    payload = _gz_file(tmp_path / "f.gz")
+    data._read_maybe_gzip(tmp_path / "f.gz")
+    entry = _entry(cache, tmp_path / "f.gz")
+    entry.write_bytes(damage(entry.read_bytes()))
+    assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == payload
+    assert entry.read_bytes() == payload
+    assert list(entry.parent.iterdir()) == [entry]  # no temp file left
+
+
+@pytest.mark.parametrize("where", ["XDG_CACHE_HOME is a file", "the entry is a directory",
+                                   "no home directory"])
+def test_an_unusable_cache_location_leaves_the_load_as_it_was(tmp_path, monkeypatch, where):
+    payload = _gz_file(tmp_path / "f.gz")
+    if where == "XDG_CACHE_HOME is a file":
+        (tmp_path / "cache").write_bytes(b"not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    elif where == "the entry is a directory":  # the temp file is written, os.replace fails
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        _entry(tmp_path / "cache", tmp_path / "f.gz").mkdir(parents=True)
+    else:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    before = sorted(tmp_path.rglob("*"))
+    for _ in range(2):
+        assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == payload
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_cifar_batch_loads_identically_through_a_warm_entry(tmp_path, cache, monkeypatch):
+    write_cifar(tmp_path / "c.bin", [3, 7, 0], pixel_value=200)
+    (tmp_path / "c.bin.gz").write_bytes(gzip.compress((tmp_path / "c.bin").read_bytes()))
+    raw = load_cifar10_bin([tmp_path / "c.bin"])
+    cold = load_cifar10_bin([tmp_path / "c.bin.gz"])
+    _no_inflate(monkeypatch)
+    warm = load_cifar10_bin([tmp_path / "c.bin.gz"])
+    for ds in (cold, warm):
+        assert np.array_equal(ds.inputs, raw.inputs) and np.array_equal(ds.labels, raw.labels)
 
 
 # --- subsetting --------------------------------------------------------------------

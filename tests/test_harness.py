@@ -525,32 +525,35 @@ def test_grid_keeps_no_network(make_blobs, monkeypatch):
     assert [ref() for ref in refs] == [None] * 8
 
 
-@pytest.mark.parametrize("mode, kind, const_s, b_values, alpha_values, unread", [
-    ("global", "constant", 1.0, [0.7, 0.3], [1.0], "b"),
-    ("global", "off", 1.0, [0.7, 0.3], [1.0], "b"),
-    ("local", "laplace", 1.0, [0.7, 0.3], [1.0], "b"),
-    ("global_local", "constant", 1.0, [0.7, 0.3], [1.0], "b"),
-    ("global", "laplace", 1.0, [0.5], [1.0, 2.0], "alpha"),
-    ("global_local", "off", 1.0, [0.5], [1.0, 2.0], "alpha"),
-    ("global_local", "constant", 0.0, [0.5], [1.0, 2.0], "alpha"),
-    ("global", "logistic", 1.0, [0.7, 0.3], [1.0], None),
-    ("global_local", "laplace", 1.0, [0.7, 0.3], [1.0, 2.0], None),
-    ("global_local", "constant", 0.5, [0.5], [1.0, 2.0], None),
-    ("local", "off", 1.0, [0.5], [1.0, 2.0], None),
-    ("global", "constant", 1.0, [0.5], [1.0], None),
+@pytest.mark.parametrize("mode, kind, const_s, local_scale, b_values, alpha_values, unread", [
+    ("global", "constant", 1.0, 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global", "off", 1.0, 1.0, [0.7, 0.3], [1.0], "b"),
+    ("local", "laplace", 1.0, 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global_local", "constant", 1.0, 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global", "laplace", 1.0, 1.0, [0.5], [1.0, 2.0], "alpha"),
+    ("global_local", "off", 1.0, 1.0, [0.5], [1.0, 2.0], "alpha"),
+    ("global_local", "constant", 0.0, 1.0, [0.5], [1.0, 2.0], "alpha"),
+    ("local", "laplace", 1.0, 0.0, [0.5], [0.5, 1.0, 4.0], "alpha"),
+    ("global", "logistic", 1.0, 1.0, [0.7, 0.3], [1.0], None),
+    ("global_local", "laplace", 1.0, 1.0, [0.7, 0.3], [1.0, 2.0], None),
+    ("global_local", "constant", 0.5, 1.0, [0.5], [1.0, 2.0], None),
+    ("local", "off", 1.0, 1.0, [0.5], [1.0, 2.0], None),
+    ("global", "constant", 1.0, 1.0, [0.5], [1.0], None),
 ])
 def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
-        monkeypatch, mode, kind, const_s, b_values, alpha_values, unread):
+        monkeypatch, mode, kind, const_s, local_scale, b_values, alpha_values, unread):
     monkeypatch.setattr(harness, "prepare_data", lambda cfg: None)
     monkeypatch.setattr(harness, "run_trials", _equal_aggregate)
     cfg = blob_config(mode=mode, alpha=1.0)
-    cfg = dataclasses.replace(cfg, schedule=AnnealSchedule(kind=kind, const_s=const_s))
+    cfg = dataclasses.replace(cfg, schedule=AnnealSchedule(kind=kind, const_s=const_s),
+                              smoothing=dataclasses.replace(cfg.smoothing, local_scale=local_scale))
     if unread is None:
         rows, _ = grid_search(cfg, b_values, alpha_values)
         assert len(rows) == len(b_values) * len(alpha_values)  # one trial per point
     else:
-        with pytest.raises(ConfigError, match=f"never reads {unread}: every point"):
+        with pytest.raises(ConfigError, match=f"never reads {unread}: every point") as err:
             grid_search(cfg, b_values, alpha_values)
+        assert ("with local_scale 0 never" in str(err.value)) == (local_scale == 0.0)
 
 
 def test_grid_rejects_empty(make_blobs):
