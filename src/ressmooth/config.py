@@ -152,6 +152,9 @@ def _bool(raw, name, base_dir):
 # Every config key: (section, key) -> (target, converter). The key sets the
 # target's field of the same name, except where _FIELDS renames it. Omitted
 # keys take the target dataclass's default; a field without one is required.
+_FIELDS = {("regularizer", "schedule"): "kind"}
+_KEY_OF = {name: key for (_, key), name in _FIELDS.items()}  # a renamed field's key
+_CONVERTERS = {str: _text, int: _int, float: _float}  # a scalar field's, by its type
 _KEYS = {
     ("dataset", "kind"): (DatasetSpec, _text),
     **{("dataset", key): (DatasetSpec, _list(_path) if kind == "cifar10" else _path)
@@ -163,23 +166,16 @@ _KEYS = {
     ("model", "hidden"): (ModelSpec, _list(_int)),
     ("model", "output_activation"): (ModelSpec, _text),
     ("optimizer", "kind"): (_OPTIMIZER, _text),
-    **{("optimizer", f.name): (_OPTIMIZER, {int: _int, float: _float}[f.type])
+    **{("optimizer", f.name): (_OPTIMIZER, _CONVERTERS[f.type])
        for config_class, _ in OPTIMIZERS.values() for f in fields(config_class)},
-    ("regularizer", "mode"): (SmoothingConfig, _text),
-    ("regularizer", "alpha"): (SmoothingConfig, _float),
-    ("regularizer", "n_steps"): (SmoothingConfig, _int),
-    ("regularizer", "local_scale"): (SmoothingConfig, _float),
-    ("regularizer", "schedule"): (AnnealSchedule, _text),
-    ("regularizer", "mu"): (AnnealSchedule, _float),
-    ("regularizer", "b"): (AnnealSchedule, _float),
-    ("regularizer", "const_s"): (AnnealSchedule, _float),
+    **{("regularizer", _KEY_OF.get(f.name, f.name)): (target, _CONVERTERS[f.type])
+       for target in (SmoothingConfig, AnnealSchedule) for f in fields(target)},
     ("regularizer", "label_smoothing"): (ExperimentConfig, _float),
     ("run", "epochs"): (ExperimentConfig, _int),
     ("run", "batch_size"): (ExperimentConfig, _int),
     ("run", "trials"): (ExperimentConfig, _int),
     ("run", "base_seed"): (ExperimentConfig, _int),
 }
-_FIELDS = {("regularizer", "schedule"): "kind"}
 
 
 def _required(target, name) -> bool:

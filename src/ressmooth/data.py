@@ -115,17 +115,14 @@ def _inflate_one_member(f):
     view = memoryview(out)
     f.seek(0)
     inflater = zlib.decompressobj(31)
-    pos, pending, drained = 0, b"", False
+    pos = 0
     while not inflater.eof:
-        if not pending and not drained:
-            pending = f.read(_GZIP_PIECE)
-            drained = not pending
+        piece = inflater.unconsumed_tail or f.read(_GZIP_PIECE)
         try:
-            chunk = inflater.decompress(pending, _GZIP_PIECE)
+            chunk = inflater.decompress(piece, _GZIP_PIECE)
         except zlib.error:
             return None
-        pending = inflater.unconsumed_tail
-        if (not chunk and (drained or pending)) or pos + len(chunk) > size:
+        if (not chunk and (not piece or inflater.unconsumed_tail)) or pos + len(chunk) > size:
             return None
         view[pos:pos + len(chunk)] = chunk
         pos += len(chunk)

@@ -110,9 +110,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
     augment_rng = substream(trial_seed, "augment")
 
     sm = config.smoothing
-    table = np.eye(train_ds.class_count)  # row k: the target of class k
-    if config.label_smoothing > 0.0:
-        table = optim.label_smooth(table, config.label_smoothing)
+    # row k: the target of class k; smoothing by 0 is np.eye bit for bit
+    table = optim.label_smooth(np.eye(train_ds.class_count), config.label_smoothing)
 
     n = train_ds.n
     total_iters = config.epochs * math.ceil(n / config.batch_size)
@@ -235,16 +234,17 @@ def grid_search(config: ExperimentConfig, b_values, alpha_values):
             raise ConfigError(f"smoothing mode {sm.mode} with {setting} never "
                               f"reads {name}: every point of the {name} grid {sorted(values)} "
                               "would train the same network")
-    dataset_pair = prepare_data(config)
+    points = [(b, alpha, replace(config, schedule=replace(schedule, b=b),
+                                 smoothing=replace(sm, alpha=alpha)))
+              for b in sorted(b_values) for alpha in sorted(alpha_values)]
+    dataset_pair = prepare_data(config)  # once every point's config is built and checked
     rows, best = [], None
-    for b in sorted(b_values):
-        for alpha in sorted(alpha_values):
-            point = run_trials(replace(config, schedule=replace(schedule, b=b),
-                                       smoothing=replace(sm, alpha=alpha)), dataset_pair)
-            rows.extend(point.rows)
-            if best is None or point.mean_max_val_acc > best[2]:  # a tie keeps the smaller point
-                best = (b, alpha, point.mean_max_val_acc)
-            del point  # and its networks, before the next point trains
+    for b, alpha, point_config in points:
+        point = run_trials(point_config, dataset_pair)
+        rows.extend(point.rows)
+        if best is None or point.mean_max_val_acc > best[2]:  # a tie keeps the smaller point
+            best = (b, alpha, point.mean_max_val_acc)
+        del point  # and its networks, before the next point trains
     return rows, best
 
 

@@ -90,6 +90,40 @@ def test_summary_counts_identical_outputs_and_failed_trials(tmp_path, monkeypatc
     assert summary["failed"] == {"parent": 0, "change": 1}
 
 
+def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, monkeypatch):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+    calls = {"parent": 0, "change": 0}
+
+    def run_once(checkout, workload, seed, seconds, trace, size):
+        # the parent runs first in pair 3, its fourth call after the warm-up
+        side = "parent" if checkout == sides["parent"].resolve() else "change"
+        k = calls[side]
+        calls[side] += 1
+        if (side, k) == ("parent", 3):
+            raise SystemExit(f"{checkout}: perfbench/run.py exited with 1")
+        return {"facts": {"src_lines": SRC_LINES[side], "outputs_sha256": {"a": "0"}},
+                "metrics": {"run_s": RUN_S[side][k]}, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"pairs": {"older-seed17": []}, "reports": {}, "summary": {}}))
+    with pytest.raises(SystemExit, match="exited with 1"):
+        bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                          "--workloads", "many_class", "--pairs", "4", "--out", str(out)])
+    assert calls == {"parent": 4, "change": 3}
+    report = json.loads(out.read_text())
+    assert list(report["pairs"]) == ["older-seed17", "many_class-seed17"]
+    pairs = report["pairs"]["many_class-seed17"]
+    assert [(p["pair"], p["change"]["run_s"]) for p in pairs] == [(1, 1.5), (2, 2.0)]
+    summary = report["summary"]["many_class-seed17"]
+    assert summary["run_s"]["pairs"] == 2
+    assert summary["src_lines"] == SRC_LINES
+    assert report["reports"]["many_class-seed17"]["metrics"] == {"run_s": 2.0}
+
+
 @pytest.mark.parametrize("flags", [["--pairs", "3"], ["--pairs", "1"], ["--pairs", "0"],
                                    ["--seeds", "17,"], ["--seeds", "17,,23"], ["--seeds", "x"],
                                    ["--workloads", "many_class,"]],

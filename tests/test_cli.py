@@ -255,6 +255,20 @@ def test_grid_over_an_unread_axis_exits_nonzero(tiny_corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--b-grid", "0,0.5", "schedule scale b must be > 0, got 0.0"),
+    ("--alpha-grid", "-1,1", "alpha must be >= 0, got -1.0")])
+def test_a_grid_value_the_config_refuses_exits_before_the_corpus_is_read(
+        tiny_corpus, tmp_path, capsys, flag, value, message):
+    for name in ("ti.gz", "tl.gz", "vi.gz", "vl.gz"):
+        (tmp_path / name).unlink()
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
+                 f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cifar_kind_with_augmentation(tmp_path, capsys):
     rng = np.random.default_rng(33)
     records = b""

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,28 @@ def test_omitted_keys_take_the_dataclass_defaults(kind):
     # ExperimentConfig's own defaults include SmoothingConfig() and AnnealSchedule()
     assert cfg == ExperimentConfig(dataset=spec, model=ModelSpec(), optimizer=optimizer,
                                    epochs=3)
+
+
+def test_every_regularizer_field_is_set_from_its_key():
+    # each field of SmoothingConfig and AnnealSchedule at a valid value
+    # other than its default; the schedule's kind is keyed `schedule`
+    smoothing = SmoothingConfig(mode="local", alpha=2.5, n_steps=3, local_scale=0.25)
+    schedule = AnnealSchedule(kind="logistic", mu=0.4, b=0.2, const_s=0.6)
+    for value in (smoothing, schedule):
+        assert all(getattr(value, f.name) != f.default for f in fields(value))
+    text = MINIMAL.format(kind="sgd") + """
+[regularizer]
+mode = local
+alpha = 2.5
+n_steps = 3
+local_scale = 0.25
+schedule = logistic
+mu = 0.4
+b = 0.2
+const_s = 0.6
+"""
+    cfg = parse_config_text(text)
+    assert (cfg.smoothing, cfg.schedule) == (smoothing, schedule)
 
 
 def test_augment_needs_cifar10():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import net_of, read_csv, write_idx_pair
-from ressmooth import harness, optim
+from ressmooth import harness, nn, optim
 from ressmooth.annealing import AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.data import features, load_cifar10_bin, load_idx, take_uniform
@@ -283,6 +283,44 @@ def test_divergence_aborts_with_diagnostic(make_blobs):
             train(cfg, 0, pair)
 
 
+def test_parameters_poisoned_mid_epoch_name_their_layers(make_blobs, monkeypatch):
+    # the second step writes NaN into layer 0 and inf into layer 1; the
+    # third batch's loss is the first to see them
+    real_step, calls = optim.Sgd.step, []
+
+    def poisoning_step(self, network, grads, progress):
+        real_step(self, network, grads, progress)
+        calls.append(progress)
+        if len(calls) == 2:
+            network.biases[0][0] = np.nan
+            network.weights[1][0, 0] = np.inf
+
+    monkeypatch.setattr(optim.Sgd, "step", poisoning_step)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingError, match=r"^non-finite loss at iteration 2 "
+                                                r"\(epoch 0, batch 2\); layers \[0, 1\]$"):
+            train(blob_config(epochs=2, batch_size=16), 0, blob_pair(make_blobs))
+
+
+def test_finite_parameters_whose_loss_overflows_say_so(make_blobs, monkeypatch):
+    # identity outputs of a network scaled by 1e200 are finite parameters
+    # times finite activations, and their squares overflow to inf
+    real_build = nn.build_network
+
+    def huge_network(*args):
+        network = real_build(*args)
+        network.params *= 1e200
+        return network
+
+    monkeypatch.setattr(nn, "build_network", huge_network)
+    cfg = blob_config(epochs=1, output_activation="identity")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match=r"^non-finite loss at iteration 0 "
+                                                r"\(epoch 0, batch 0\); "
+                                                r"parameters finite; loss overflow$"):
+            train(cfg, 0, blob_pair(make_blobs))
+
+
 def test_parameters_poisoned_by_the_last_step_fail_the_epoch_end_check(make_blobs,
                                                                        monkeypatch):
     # one batch per epoch: its loss is taken before the step that writes NaN
@@ -554,6 +592,20 @@ def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
         with pytest.raises(ConfigError, match=f"never reads {unread}: every point") as err:
             grid_search(cfg, b_values, alpha_values)
         assert ("with local_scale 0 never" in str(err.value)) == (local_scale == 0.0)
+
+
+@pytest.mark.parametrize("b_values, alpha_values, message", [
+    ([0.0, 0.5], [1.0], r"^schedule scale b must be > 0, got 0.0$"),
+    ([0.5], [1.0, -0.5], r"^alpha must be >= 0, got -0.5$")])
+def test_grid_refuses_a_bad_point_before_reading_the_corpus(monkeypatch, b_values,
+                                                            alpha_values, message):
+    def prepare_data(cfg):
+        raise AssertionError("read the corpus for a grid with a point the config refuses")
+
+    monkeypatch.setattr(harness, "prepare_data", prepare_data)
+    cfg = blob_config(mode="global_local", schedule_kind="laplace", alpha=1.0)
+    with pytest.raises(ConfigError, match=message):
+        grid_search(cfg, b_values, alpha_values)
 
 
 def test_grid_rejects_empty(make_blobs):

@@ -23,7 +23,8 @@ first and second; under `outputs_identical` the number of pairs whose
 `outputs_sha256` matched, out of the pairs run, and under `failed` each
 side's total of failed trials; and under `src_lines` each side's source line
 count, so code size sits next to the numbers. An existing `--out` file is
-extended: its other keys are kept.
+extended: its other keys are kept. The file is rewritten after every pair,
+so a run that fails leaves the pairs measured before it in the report.
 Standard library only.
 """
 
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
 
             for side in sides:
                 run(side)  # warm-up, discarded
-            pairs = []
+            pairs = report["pairs"][key] = []
             for k in range(1, args.pairs + 1):
                 order = ("parent", "change") if k % 2 else ("change", "parent")
                 runs = {side: run(side) for side in order}
@@ -149,13 +150,12 @@ def main(argv=None) -> int:
                                                     == runs["parent"]["facts"]["outputs_sha256"]),
                               "failed": {side: runs[side]["failed"] for side in sides}})
                 print(f"{key} pair {k}: " + json.dumps(pairs[-1]), flush=True)
-            report["reports"][key] = {"facts": runs["change"]["facts"],
-                                      "metrics": runs["change"]["metrics"]}
-            report["pairs"][key] = pairs
-            report["summary"][key] = summarize(pairs, better)
-            report["summary"][key]["src_lines"] = {side: runs[side]["facts"]["src_lines"]
-                                                   for side in sides}
-            args.out.write_text(json.dumps(report, indent=1) + "\n")
+                report["reports"][key] = {"facts": runs["change"]["facts"],
+                                          "metrics": runs["change"]["metrics"]}
+                report["summary"][key] = summarize(pairs, better)
+                report["summary"][key]["src_lines"] = {side: runs[side]["facts"]["src_lines"]
+                                                       for side in sides}
+                args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
