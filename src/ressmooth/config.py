@@ -1,9 +1,9 @@
 """Declarative experiment configuration and its INI-file parser.
 
 A config file has sections [dataset], [model], [optimizer], [regularizer]
-and [run]; `_KEYS` maps each key to the dataclass field it sets, and omitted
-keys take the dataclass defaults. Unknown sections or keys are a hard error
-so typos in grid scripts cannot pass silently.
+and [run]; each key sets the field of its name in the section's dataclass,
+and omitted keys take the dataclass defaults. Unknown sections or keys are a
+hard error so typos in grid scripts cannot pass silently.
 """
 
 import configparser
@@ -94,11 +94,7 @@ class ExperimentConfig:
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.label_smoothing > 0.0 and self.smoothing.mode != "off":
-            raise ConfigError("label smoothing and residual smoothing are alternatives; "
-                              "pick one")
-
-
-_OPTIMIZER = "optimizer"  # target: the optim.OPTIMIZERS config class [optimizer] kind selects
+            raise ConfigError("label smoothing and residual smoothing are alternatives; pick one")
 
 
 def _text(raw, name, base_dir):
@@ -149,39 +145,32 @@ def _bool(raw, name, base_dir):
     return value
 
 
-# Every config key: (section, key) -> (target, converter). The key sets the
-# target's field of the same name, except where _FIELDS renames it. Omitted
-# keys take the target dataclass's default; a field without one is required.
-_FIELDS = {("regularizer", "schedule"): "kind"}
-_KEY_OF = {name: key for (_, key), name in _FIELDS.items()}  # a renamed field's key
-_CONVERTERS = {str: _text, int: _int, float: _float}  # a scalar field's, by its type
-_KEYS = {
-    ("dataset", "kind"): (DatasetSpec, _text),
-    **{("dataset", key): (DatasetSpec, _list(_path) if kind == "cifar10" else _path)
-       for kind, keys in DATASET_FILES.items() for key in keys},
-    ("dataset", "take"): (DatasetSpec, _int),
-    ("dataset", "subsample_ratio"): (DatasetSpec, _float),
-    ("dataset", "seed"): (DatasetSpec, _int),
-    ("dataset", "augment"): (DatasetSpec, _bool),
-    ("model", "hidden"): (ModelSpec, _list(_int)),
-    ("model", "output_activation"): (ModelSpec, _text),
-    ("optimizer", "kind"): (_OPTIMIZER, _text),
-    **{("optimizer", f.name): (_OPTIMIZER, _CONVERTERS[f.type])
-       for config_class, _ in OPTIMIZERS.values() for f in fields(config_class)},
-    **{("regularizer", _KEY_OF.get(f.name, f.name)): (target, _CONVERTERS[f.type])
-       for target in (SmoothingConfig, AnnealSchedule) for f in fields(target)},
-    ("regularizer", "label_smoothing"): (ExperimentConfig, _float),
-    ("run", "epochs"): (ExperimentConfig, _int),
-    ("run", "batch_size"): (ExperimentConfig, _int),
-    ("run", "trials"): (ExperimentConfig, _int),
-    ("run", "base_seed"): (ExperimentConfig, _int),
-}
+_CONVERTERS = {str: _text, int: _int, float: _float, bool: _bool}  # a field's, by its type
+# What no field's type states: each class's section, moved keys, special converters
+_SECTIONS = {DatasetSpec: "dataset", ModelSpec: "model",
+             **{config_class: "optimizer" for config_class, _ in OPTIMIZERS.values()},
+             SmoothingConfig: "regularizer", AnnealSchedule: "regularizer", ExperimentConfig: "run"}
+_KEY_OF = {(AnnealSchedule, "kind"): ("regularizer", "schedule"),
+           (ExperimentConfig, "label_smoothing"): ("regularizer", "label_smoothing")}
+_SPECIAL = {**{(DatasetSpec, name): _list(_path) if kind == "cifar10" else _path
+               for kind, names in DATASET_FILES.items() for name in names},
+            (ModelSpec, "hidden"): _list(_int)}
 
 
-def _required(target, name) -> bool:
-    """Whether a dataclass field has no default (never true of [optimizer] keys)."""
-    f = getattr(target, "__dataclass_fields__", {}).get(name)
-    return f is not None and f.default is MISSING and f.default_factory is MISSING
+def _key_table() -> dict:
+    """(section, key) -> (target, field, converter, whether it has no default),
+    section by section; [optimizer] keys set the class its kind selects."""
+    table = {("optimizer", "kind"): (OPTIMIZERS, "kind", _text, False)}
+    for target, section in _SECTIONS.items():
+        for f in fields(target):
+            if convert := _SPECIAL.get((target, f.name), _CONVERTERS.get(f.type)):
+                key = _KEY_OF.get((target, f.name), (section, f.name))
+                table[key] = (OPTIMIZERS if section == "optimizer" else target, f.name, convert,
+                              f.default is MISSING and f.default_factory is MISSING)
+    return dict(sorted(table.items(), key=lambda item: [*_SECTIONS.values()].index(item[0][0])))
+
+
+_KEYS = _key_table()
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -192,9 +181,8 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     except configparser.Error as exc:
         raise ConfigError(f"unparsable config: {exc}") from None
 
-    sections = {section for section, _ in _KEYS}
     for section in parser.sections():
-        if section not in sections:
+        if section not in _SECTIONS.values():
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
             if (section, key) not in _KEYS:
@@ -206,27 +194,23 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     def values(target) -> dict:
         """The converted values of the keys that set `target`'s fields."""
         out = {}
-        for (section, key), (owner, convert) in _KEYS.items():
-            if owner is not target:
-                continue
-            name = _FIELDS.get((section, key), key)
-            if section in parser and key in parser[section]:
+        for (section, key), (owner, name, convert, required) in _KEYS.items():
+            if owner is target and section in parser and key in parser[section]:
                 out[name] = convert(parser[section][key], f"[{section}] {key}", base_dir)
-            elif _required(target, name):
+            elif owner is target and required:
                 raise ConfigError(f"missing key {key!r} in [{section}]")
         return out
 
     dataset = DatasetSpec(**values(DatasetSpec))
     model = ModelSpec(**values(ModelSpec))
-    opt = values(_OPTIMIZER)
+    opt = values(OPTIMIZERS)
     opt_kind = opt.pop("kind", "sgd")
     if opt_kind not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer kind {opt_kind!r}")
     opt_class = OPTIMIZERS[opt_kind][0]
-    opt_fields = {f.name for f in fields(opt_class)}
-    for key in opt:
-        if key not in opt_fields:
-            raise ConfigError(f"key {key!r} does not apply to optimizer kind {opt_kind!r}")
+    stray = [key for key in opt if key not in {f.name for f in fields(opt_class)}]
+    if stray:
+        raise ConfigError(f"key {stray[0]!r} does not apply to optimizer kind {opt_kind!r}")
     return ExperimentConfig(dataset=dataset, model=model, optimizer=opt_class(**opt),
                             smoothing=SmoothingConfig(**values(SmoothingConfig)),
                             schedule=AnnealSchedule(**values(AnnealSchedule)),

@@ -7,16 +7,17 @@ IDX files (MNIST family), big-endian:
 Gzip-wrapped IDX files are accepted. CIFAR-10 binary: 3073-byte records,
 one label byte then 1024 R + 1024 G + 1024 B plane bytes.
 
-A gzip file is inflated a piece at a time into one buffer sized from its
-ISIZE trailer. A clean inflate is kept in $XDG_CACHE_HOME/ressmooth, named by
-the file's sha256, and read back by later loads when its length and CRC-32
-match the trailer. The loaders return the raw uint8 pixel codes (the IDX one a
-read-only view of the decoded bytes), and the codes stay codes through
+A gzip file is inflated a piece at a time into one buffer sized from its ISIZE
+trailer. A clean inflate is kept in $XDG_CACHE_HOME/ressmooth, named by the
+file's sha256, and read back by later loads when its length and CRC-32 match
+the trailer; past _CACHE_BYTES, the least recently used entries go. The
+loaders return the raw uint8 pixel codes (the IDX one, and a one-file CIFAR
+one, a read-only view of the decoded bytes), and the codes stay codes through
 subsetting, batching and augmentation: `features` turns one batch or one
 evaluation chunk at a time into float64 features in [0, 1] by /255, with no
 further normalization. `augment_batch` pads, crops and mirrors a whole batch
-of CIFAR rows; the per-image reference it is tested against lives in the
-tests (`oracles.py`).
+of CIFAR rows; the per-image reference it is tested against lives in the tests
+(`oracles.py`).
 """
 
 import contextlib
@@ -24,6 +25,7 @@ import gzip
 import hashlib
 import math
 import os
+import re
 import struct
 import tempfile
 import zlib
@@ -40,6 +42,7 @@ CIFAR_RECORD_BYTES = 3073
 _GZIP_PIECE = 1 << 20  # bytes read, and at most bytes inflated, per step
 # deflate expands at most 1032:1, so a larger ISIZE trailer is forged
 _MAX_DEFLATE_RATIO = 1032
+_CACHE_BYTES = 1 << 30
 
 
 @dataclass
@@ -79,7 +82,7 @@ def _read_maybe_gzip(path):
     take to a verified end (damaged, multi-member, trailing bytes) goes to
     `gzip.decompress`, so the result, or the cause of the `FormatError`, is
     always the reference decoder's."""
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:  # so read() fills one buffer, uncopied
         if f.read(2) != b"\x1f\x8b":
             f.seek(0)
             return f.read()
@@ -111,6 +114,8 @@ def _inflate_one_member(f):
         return None
     entry = _cache_entry(f)
     if entry is not None and _read_entry(entry, out, crc):
+        with contextlib.suppress(OSError):
+            os.utime(entry)  # a hit is a use: an entry's mtime is its last
         return out
     view = memoryview(out)
     f.seek(0)
@@ -161,15 +166,25 @@ def _read_entry(entry, out, crc) -> bool:
 
 
 def _write_entry(entry, out):
-    """Store a verified inflate as the cache entry, through a temp file in the
-    cache dir and os.replace; an OSError skips the store and leaves no temp file."""
-    tmp = None
+    """Store a verified inflate as the cache entry, through a temp file and
+    os.replace, then delete the other entries with the oldest mtimes until the
+    cache fits _CACHE_BYTES. An OSError ends the store, leaving no temp file."""
+    folder, tmp = os.path.dirname(entry), None
     try:
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(entry))
+        os.makedirs(folder, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder)
         with open(fd, "wb") as f:
             f.write(out)
         os.replace(tmp, entry)
+        tmp = None
+        with os.scandir(folder) as found:
+            entries = sorted((e.stat().st_mtime_ns, e.path, e.stat().st_size) for e in found
+                             if re.fullmatch("[0-9a-f]{64}", e.name))  # no temp files
+        excess = sum(size for *_, size in entries) - _CACHE_BYTES
+        for _, path, size in entries:
+            if excess > 0 and path != entry:
+                os.unlink(path)
+                excess -= size
     except OSError:
         if tmp is not None:
             with contextlib.suppress(OSError):
@@ -224,7 +239,8 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
             raise FormatError(f"{path}: label {part[bad[0], 0]} exceeds 9 "
                               f"at offset {bad[0] * CIFAR_RECORD_BYTES}")
         parts.append(part)
-    records = np.concatenate(parts) if parts else np.zeros((0, CIFAR_RECORD_BYTES), np.uint8)
+    records = parts[0] if len(parts) == 1 else np.concatenate(
+        parts or [np.zeros((0, CIFAR_RECORD_BYTES), np.uint8)])
     return Dataset(records[:, 1:], records[:, 0].astype(np.int64), 10, split)
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -122,6 +123,30 @@ def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, monkeypatch):
     assert summary["run_s"]["pairs"] == 2
     assert summary["src_lines"] == SRC_LINES
     assert report["reports"]["many_class-seed17"]["metrics"] == {"run_s": 2.0}
+
+
+def test_every_run_shares_one_temporary_cache_removed_at_exit(tmp_path, monkeypatch):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "user-cache"))
+    seen = set()
+
+    def run_once(checkout, workload, seed, seconds, trace, size):
+        cache = os.environ["XDG_CACHE_HOME"]  # what a started process inherits
+        assert Path(cache).is_dir()
+        seen.add(cache)
+        return {"facts": {"src_lines": 1, "outputs_sha256": {"a": "0"}},
+                "metrics": {"run_s": 1.0}, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workloads", "many_class,grid_sweep", "--pairs", "2",
+                             "--out", str(tmp_path / "BENCH.json")]) == 0
+    cache, = seen
+    assert cache != str(tmp_path / "user-cache") and not Path(cache).exists()
+    assert os.environ["XDG_CACHE_HOME"] == str(tmp_path / "user-cache")
 
 
 @pytest.mark.parametrize("flags", [["--pairs", "3"], ["--pairs", "1"], ["--pairs", "0"],

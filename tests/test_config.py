@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -174,55 +174,96 @@ def test_adam_and_adagrad_configs():
     assert isinstance(cfg.optimizer, AdaGradConfig)
 
 
-MINIMAL = """
-[dataset]
-kind = fashion_mnist
-train_images = a
-train_labels = b
-test_images = c
-test_labels = d
+# a minimal config's section bodies, and what it parses to
+MINIMAL = {"dataset": "kind = fashion_mnist\ntrain_images = a\ntrain_labels = b\n"
+                      "test_images = c\ntest_labels = d",
+           "model": "", "optimizer": "kind = sgd", "run": "epochs = 3"}
+FASHION = DatasetSpec(kind="fashion_mnist", train_images="a", train_labels="b",
+                      test_images="c", test_labels="d")
+DEFAULTS = ExperimentConfig(dataset=FASHION, model=ModelSpec(), optimizer=SgdConfig(), epochs=3)
 
-[model]
 
-[optimizer]
-kind = {kind}
-
-[run]
-epochs = 3
-"""
+def _minimal_with(sections) -> str:
+    """MINIMAL, with the given sections' bodies in place of its own."""
+    return "".join(f"[{name}]\n{body}\n\n" for name, body in {**MINIMAL, **sections}.items())
 
 
 @pytest.mark.parametrize("kind", list(OPTIMIZERS))
 def test_omitted_keys_take_the_dataclass_defaults(kind):
     optimizer = OPTIMIZERS[kind][0]()  # so every kind parses to its table class
-    spec = DatasetSpec(kind="fashion_mnist", train_images="a", train_labels="b",
-                       test_images="c", test_labels="d")
-    cfg = parse_config_text(MINIMAL.format(kind=kind))
+    cfg = parse_config_text(_minimal_with({"optimizer": f"kind = {kind}"}))
     # ExperimentConfig's own defaults include SmoothingConfig() and AnnealSchedule()
-    assert cfg == ExperimentConfig(dataset=spec, model=ModelSpec(), optimizer=optimizer,
-                                   epochs=3)
+    assert cfg == replace(DEFAULTS, optimizer=optimizer)
+
+# Per case, the sections that replace MINIMAL's and the config they parse to.
+# Between them the cases set every field a key sets to a valid value other
+# than its default; the schedule's kind is keyed `schedule`.
+SET_EVERY_FIELD = {
+    "fashion_mnist": (
+        {"dataset": "kind = fashion_mnist\ntrain_images = i\ntrain_labels = l\n"
+                    "test_images = ti\ntest_labels = tl\ntake = 100\nsubsample_ratio = 0.5\n"
+                    "seed = 4"},
+        replace(DEFAULTS, dataset=DatasetSpec(
+            kind="fashion_mnist", train_images="i", train_labels="l", test_images="ti",
+            test_labels="tl", take=100, subsample_ratio=0.5, seed=4))),
+    "cifar10": (
+        {"dataset": "kind = cifar10\ntrain_files = a.bin, b.bin\ntest_files = t.bin\n"
+                    "augment = true"},
+        replace(DEFAULTS, dataset=DatasetSpec(kind="cifar10", train_files=("a.bin", "b.bin"),
+                                              test_files=("t.bin",), augment=True))),
+    "model": ({"model": "hidden = 64, 32\noutput_activation = identity"},
+              replace(DEFAULTS, model=ModelSpec(hidden=(64, 32), output_activation="identity"))),
+    "sgd": ({"optimizer": "kind = sgd\nlr_high = 0.2\nlr_low = 0.01\ndrop_at = 0.5\n"
+                          "momentum = 0.8\nweight_decay = 0.001"},
+            replace(DEFAULTS, optimizer=SgdConfig(lr_high=0.2, lr_low=0.01, drop_at=0.5,
+                                                  momentum=0.8, weight_decay=0.001))),
+    "adam": ({"optimizer": "kind = adam\nlr = 0.002\nbeta1 = 0.8\nbeta2 = 0.99\neps = 1e-7"},
+             replace(DEFAULTS, optimizer=AdamConfig(lr=0.002, beta1=0.8, beta2=0.99, eps=1e-7))),
+    "adagrad": ({"optimizer": "kind = adagrad\nlr = 0.01\neps = 1e-9"},
+                replace(DEFAULTS, optimizer=AdaGradConfig(lr=0.01, eps=1e-9))),
+    "regularizer": (
+        {"regularizer": "mode = local\nalpha = 2.5\nn_steps = 3\nlocal_scale = 0.25\n"
+                        "schedule = logistic\nmu = 0.4\nb = 0.2\nconst_s = 0.6"},
+        replace(DEFAULTS, smoothing=SmoothingConfig(mode="local", alpha=2.5, n_steps=3,
+                                                    local_scale=0.25),
+                schedule=AnnealSchedule(kind="logistic", mu=0.4, b=0.2, const_s=0.6))),
+    "run": ({"regularizer": "label_smoothing = 0.1",
+             "run": "epochs = 7\nbatch_size = 32\ntrials = 2\nbase_seed = 9"},
+            replace(DEFAULTS, label_smoothing=0.1, epochs=7, batch_size=32, trials=2,
+                    base_seed=9)),
+}
 
 
-def test_every_regularizer_field_is_set_from_its_key():
-    # each field of SmoothingConfig and AnnealSchedule at a valid value
-    # other than its default; the schedule's kind is keyed `schedule`
-    smoothing = SmoothingConfig(mode="local", alpha=2.5, n_steps=3, local_scale=0.25)
-    schedule = AnnealSchedule(kind="logistic", mu=0.4, b=0.2, const_s=0.6)
-    for value in (smoothing, schedule):
-        assert all(getattr(value, f.name) != f.default for f in fields(value))
-    text = MINIMAL.format(kind="sgd") + """
-[regularizer]
-mode = local
-alpha = 2.5
-n_steps = 3
-local_scale = 0.25
-schedule = logistic
-mu = 0.4
-b = 0.2
-const_s = 0.6
-"""
-    cfg = parse_config_text(text)
-    assert (cfg.smoothing, cfg.schedule) == (smoothing, schedule)
+@pytest.mark.parametrize("sections, expected", SET_EVERY_FIELD.values(), ids=SET_EVERY_FIELD)
+def test_every_field_is_set_from_its_key(sections, expected):
+    assert parse_config_text(_minimal_with(sections)) == expected
+
+
+def test_the_cases_set_every_field_off_its_default():
+    parsed = [value for _, cfg in SET_EVERY_FIELD.values()
+              for value in (cfg, cfg.dataset, cfg.model, cfg.optimizer, cfg.smoothing,
+                            cfg.schedule)]
+    for owner in (DatasetSpec, ModelSpec, *(c for c, _ in OPTIMIZERS.values()),
+                  SmoothingConfig, AnnealSchedule, ExperimentConfig):
+        for f in fields(owner):
+            if f.default is not MISSING:  # ExperimentConfig's scalar fields among them
+                assert any(type(value) is owner and getattr(value, f.name) != f.default
+                           for value in parsed), f"{owner.__name__}.{f.name}"
+
+
+# [optimizer] keys convert, in the order of the optimizer classes' fields,
+# before kind selects a class and the keys that do not apply are named
+def test_an_optimizer_number_is_checked_before_the_kind():
+    text = _minimal_with({"optimizer": "kind = rms\nweight_decay = nan"})
+    with pytest.raises(ConfigError, match=r"^\[optimizer\] weight_decay = 'nan' is not a finite"):
+        parse_config_text(text)
+
+
+def test_keys_that_do_not_apply_are_named_in_field_order():
+    text = _minimal_with({"optimizer": "kind = adagrad\nbeta1 = 0.8\ndrop_at = 0.5"})
+    with pytest.raises(ConfigError,
+                       match="^key 'drop_at' does not apply to optimizer kind 'adagrad'$"):
+        parse_config_text(text)
 
 
 def test_augment_needs_cifar10():

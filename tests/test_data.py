@@ -1,7 +1,9 @@
 import gzip
 import hashlib
+import os
 import re
 import struct
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -353,6 +355,110 @@ def test_a_cifar_batch_loads_identically_through_a_warm_entry(tmp_path, cache, m
     warm = load_cifar10_bin([tmp_path / "c.bin.gz"])
     for ds in (cold, warm):
         assert np.array_equal(ds.inputs, raw.inputs) and np.array_equal(ds.labels, raw.labels)
+
+
+def _stored(cache, *paths, mtimes=()):
+    """Load each gzip file through the cache, then date its entry's mtime to the
+    matching `mtimes` second, if any; returns the entries."""
+    entries = []
+    for k, path in enumerate(paths):
+        data._read_maybe_gzip(path)
+        entries.append(_entry(cache, path))
+        if k < len(mtimes):
+            os.utime(entries[-1], ns=(mtimes[k] * 10**9, mtimes[k] * 10**9))
+    return entries
+
+
+def test_a_store_past_the_cap_deletes_the_least_recently_used(tmp_path, cache, monkeypatch):
+    monkeypatch.setattr(data, "_CACHE_BYTES", 2 * 5000)  # two of the 5000-byte payloads
+    paths = [tmp_path / f"{k}.gz" for k in range(4)]
+    for k, path in enumerate(paths):
+        _gz_file(path, seed=k)
+    first, second = _stored(cache, *paths[:2], mtimes=(2, 1))
+    third, = _stored(cache, paths[2])
+    assert sorted((cache / "ressmooth").iterdir()) == sorted([first, third])
+    fourth, = _stored(cache, paths[3])
+    assert sorted((cache / "ressmooth").iterdir()) == sorted([third, fourth])
+
+
+def test_the_entry_just_stored_stays_past_the_cap(tmp_path, cache, monkeypatch):
+    monkeypatch.setattr(data, "_CACHE_BYTES", 1000)  # less than one payload
+    for k in range(2):
+        _gz_file(tmp_path / f"{k}.gz", seed=k)
+        entry, = _stored(cache, tmp_path / f"{k}.gz")
+        assert list((cache / "ressmooth").iterdir()) == [entry]
+
+
+def test_a_hit_outlives_older_entries(tmp_path, cache, monkeypatch):
+    monkeypatch.setattr(data, "_CACHE_BYTES", 2 * 5000)
+    paths = [tmp_path / f"{k}.gz" for k in range(3)]
+    for k, path in enumerate(paths):
+        _gz_file(path, seed=k)
+    first, second = _stored(cache, *paths[:2], mtimes=(1, 2))
+    with monkeypatch.context() as hit_only:
+        _no_inflate(hit_only)
+        _stored(cache, paths[0])  # a hit: its mtime is now, past the second's
+    assert first.stat().st_mtime_ns > second.stat().st_mtime_ns
+    third, = _stored(cache, paths[2])
+    assert sorted((cache / "ressmooth").iterdir()) == sorted([first, third])
+
+
+def test_only_entry_names_are_pruned(tmp_path, cache, monkeypatch):
+    # a concurrent writer's mkstemp file and names that are no sha256 digest
+    # neither count nor go, however old and large
+    monkeypatch.setattr(data, "_CACHE_BYTES", 5000)
+    folder = cache / "ressmooth"
+    folder.mkdir(parents=True)
+    others = [folder / "tmpa1b2c3d4", folder / ("g" * 64), folder / ("A" * 64)]
+    for other in others:
+        other.write_bytes(bytes(20000))
+        os.utime(other, ns=(0, 0))
+    _gz_file(tmp_path / "0.gz", seed=0)
+    _gz_file(tmp_path / "1.gz", seed=1)
+    _, second = _stored(cache, tmp_path / "0.gz", tmp_path / "1.gz", mtimes=(1,))
+    assert sorted(folder.iterdir()) == sorted([second, *others])
+
+
+@pytest.mark.parametrize("call", ["unlink", "scandir", "utime"])
+def test_a_cache_it_cannot_prune_or_touch_leaves_the_load_as_it_was(tmp_path, cache,
+                                                                    monkeypatch, call):
+    # an unwritable cache directory: deleting an entry, listing the directory
+    # or dating a hit fails with the error a read-only directory gives
+    monkeypatch.setattr(data, "_CACHE_BYTES", 5000)
+    payloads = [_gz_file(tmp_path / f"{k}.gz", seed=k) for k in range(2)]
+    _stored(cache, tmp_path / "0.gz", mtimes=(1,))
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(data.os, call, refuse)
+    for k, payload in enumerate(payloads):
+        assert bytes(data._read_maybe_gzip(tmp_path / f"{k}.gz")) == payload
+    # the second file is stored either way; the first, older one goes only
+    # when the prune runs
+    kept = [1] if call == "utime" else [0, 1]
+    assert sorted((cache / "ressmooth").iterdir()) == sorted(
+        _entry(cache, tmp_path / f"{k}.gz") for k in kept)
+
+
+@pytest.mark.parametrize("name", ["c.bin", "c.bin.gz"])
+def test_a_one_file_cifar_load_does_not_copy_its_records(tmp_path, name):
+    rng = np.random.default_rng(31)
+    records = rng.integers(0, 256, (5460, 3073), dtype=np.uint8)  # 16 MiB
+    records[:, 0] %= 10
+    blob = records.tobytes()
+    (tmp_path / name).write_bytes(gzip.compress(blob, compresslevel=1) if name.endswith(".gz")
+                                  else blob)
+    tracemalloc.start()
+    try:
+        ds = load_cifar10_bin([tmp_path / name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * records.nbytes
+    assert not ds.inputs.flags.writeable
+    assert np.array_equal(ds.inputs, records[:, 1:])
+    assert np.array_equal(ds.labels, records[:, 0].astype(np.int64))
 
 
 # --- subsetting --------------------------------------------------------------------

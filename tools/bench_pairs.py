@@ -4,12 +4,14 @@
         --workloads many_class,fashion_train --seeds 17,23 --pairs 10 \\
         --seconds 20 --out BENCH_<n>.json
 
-Both checkouts' `perfbench/run.py` run unchanged, one process at a time. For
-each workload and seed, one warm-up run per side comes first and is thrown
-away: it fills the checkout's input cache, so the generator's memory never
-lands in a reported run. Then come `--pairs` pairs, the parent first in odd
-pairs and the change first in even ones; `--pairs` must be even, so that
-each side runs first equally often.
+Both checkouts' `perfbench/run.py` run unchanged, one process at a time, with
+XDG_CACHE_HOME, and so the decoded-file cache of the loaders, in one
+temporary directory that is removed at exit: the runs neither fill nor prune
+the user's own cache. For each workload and seed, one warm-up run per side
+comes first and is thrown away: it fills the checkout's input cache, so the
+generator's memory never lands in a reported run. Then come `--pairs` pairs,
+the parent first in odd pairs and the change first in even ones; `--pairs`
+must be even, so that each side runs first equally often.
 
 The output keeps the layout of the earlier `BENCH_<pr>.json` files:
 `reports` holds the change's report (facts and metrics) from the last pair,
@@ -30,10 +32,13 @@ Standard library only.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
@@ -130,32 +135,36 @@ def main(argv=None) -> int:
                        "first or second, the pairs with identical outputs_sha256 out of the "
                        "pairs run, each side's total of failed trials, and each side's "
                        "src_lines")
-    for workload in workloads:
-        for seed in seeds:
-            key = f"{workload}-seed{seed}" + ("-trace" if args.trace else "")
+    # both sides' decoded-file cache, so no run fills or prunes the user's
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-cache-") as cache, \
+            mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
+        for workload in workloads:
+            for seed in seeds:
+                key = f"{workload}-seed{seed}" + ("-trace" if args.trace else "")
 
-            def run(side):
-                return run_once(sides[side], workload, seed, args.seconds, args.trace, args.size)
+                def run(side):
+                    return run_once(sides[side], workload, seed, args.seconds, args.trace,
+                                    args.size)
 
-            for side in sides:
-                run(side)  # warm-up, discarded
-            pairs = report["pairs"][key] = []
-            for k in range(1, args.pairs + 1):
-                order = ("parent", "change") if k % 2 else ("change", "parent")
-                runs = {side: run(side) for side in order}
-                pairs.append({"pair": k, "first": order[0],
-                              "change": runs["change"]["metrics"],
-                              "parent": runs["parent"]["metrics"],
-                              "outputs_identical": (runs["change"]["facts"]["outputs_sha256"]
-                                                    == runs["parent"]["facts"]["outputs_sha256"]),
-                              "failed": {side: runs[side]["failed"] for side in sides}})
-                print(f"{key} pair {k}: " + json.dumps(pairs[-1]), flush=True)
-                report["reports"][key] = {"facts": runs["change"]["facts"],
-                                          "metrics": runs["change"]["metrics"]}
-                report["summary"][key] = summarize(pairs, better)
-                report["summary"][key]["src_lines"] = {side: runs[side]["facts"]["src_lines"]
-                                                       for side in sides}
-                args.out.write_text(json.dumps(report, indent=1) + "\n")
+                for side in sides:
+                    run(side)  # warm-up, discarded
+                pairs = report["pairs"][key] = []
+                for k in range(1, args.pairs + 1):
+                    order = ("parent", "change") if k % 2 else ("change", "parent")
+                    runs = {side: run(side) for side in order}
+                    digests = {side: runs[side]["facts"]["outputs_sha256"] for side in sides}
+                    pairs.append({"pair": k, "first": order[0],
+                                  "change": runs["change"]["metrics"],
+                                  "parent": runs["parent"]["metrics"],
+                                  "outputs_identical": digests["change"] == digests["parent"],
+                                  "failed": {side: runs[side]["failed"] for side in sides}})
+                    print(f"{key} pair {k}: " + json.dumps(pairs[-1]), flush=True)
+                    report["reports"][key] = {"facts": runs["change"]["facts"],
+                                              "metrics": runs["change"]["metrics"]}
+                    report["summary"][key] = summarize(pairs, better)
+                    report["summary"][key]["src_lines"] = {side: runs[side]["facts"]["src_lines"]
+                                                           for side in sides}
+                    args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
