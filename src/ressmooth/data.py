@@ -39,7 +39,7 @@ from .errors import ConfigError, FormatError, InputError, ShapeError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
-_GZIP_PIECE = 1 << 20  # bytes read, and at most bytes inflated, per step
+_GZIP_PIECE = 1 << 18  # bytes read, and at most bytes inflated, per step
 # deflate expands at most 1032:1, so a larger ISIZE trailer is forged
 _MAX_DEFLATE_RATIO = 1032
 _CACHE_BYTES = 1 << 30

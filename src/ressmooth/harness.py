@@ -216,15 +216,13 @@ def grid_search(config: ExperimentConfig, b_values, alpha_values):
     if sm.mode == "off":
         raise ConfigError("smoothing mode off has no (b, alpha) to search: "
                           "every grid point would train the same network")
-    # b shapes s_t, which only the annealed global modes read; alpha shapes
-    # the sigmoid of the local modes, and does nothing when its scale (s_t,
-    # or local_scale in mode local) is always 0
-    s_always_zero = schedule.kind == "off" or (schedule.kind == "constant"
-                                               and schedule.const_s == 0.0)
-    reads = {"b": (sm.mode in ("global", "global_local")
-                   and schedule.kind in ("laplace", "logistic")),
-             "alpha": ((sm.mode == "local" and sm.local_scale != 0.0)
-                       or (sm.mode == "global_local" and not s_always_zero))}
+    # b shapes s_t, read where the sigmoid's (scale, alpha) follow it; alpha is read where
+    # the sigmoid takes it at a scale not always 0: s_t's peak is 0 only if s_t always is
+    peak = scale_at(schedule, schedule.mu)
+    peak_scale, unit_alpha = smoothing.sigmoid_args(replace(sm, alpha=1.0), peak)
+    reads = {"b": (schedule.kind in ("laplace", "logistic")
+                   and smoothing.sigmoid_args(sm, 0.0) != smoothing.sigmoid_args(sm, peak)),
+             "alpha": peak_scale * unit_alpha != 0.0}
     for name, values in (("b", b_values), ("alpha", alpha_values)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} grid {sorted(values)} repeats a value")

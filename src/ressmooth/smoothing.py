@@ -1,17 +1,11 @@
 """Residual diffusion: the core regularizer, computed for a whole mini-batch.
 
 Each sample's residual |prediction - target| is passed through a
-row-stochastic smoothing matrix whose row weights come from a scaled sigmoid
-of the residual (raw or normalized, depending on mode), and the loss is the
-squared norm of the smoothed residual. The matrix is a constant during
-backpropagation: gradients flow through the residual inside the smoothed
-norm, never through the diffusivity that shaped the matrix.
-
-Modes:
-  off          kappa = 0 through the same operator: plain squared error
-  global       kappa = sigmoid(raw residual; s_t, alpha=0), i.e. uniform s_t/2
-  local        kappa = sigmoid(normalized residual; local_scale, alpha)
-  global_local kappa = sigmoid(normalized residual; s_t, alpha)
+row-stochastic smoothing matrix whose row weights, the diffusivity kappa, are
+scale * sigmoid(alpha * normalized residual); a mode only picks the (scale,
+alpha), in `sigmoid_args`. The loss is the squared norm of the smoothed
+residual. The matrix is a constant during backpropagation: gradients flow
+through the residual inside the smoothed norm, never through the diffusivity.
 
 Row j of the smoothing matrix keeps 1 - kappa_j and spreads kappa_j / (M - 1)
 onto every other element, so W = diag(a) + c 1^T with c = kappa / (M - 1) and
@@ -81,18 +75,25 @@ def batch_normalize(d_rows: np.ndarray) -> np.ndarray:
     return centered
 
 
+def sigmoid_args(cfg: SmoothingConfig, s_t: float):
+    """The sigmoid's (scale, alpha) that the config's mode picks at annealed scale s_t."""
+    return {"off": (0.0, cfg.alpha),
+            "global": (s_t, 0.0),
+            "local": (cfg.local_scale, cfg.alpha),
+            "global_local": (s_t, cfg.alpha)}[cfg.mode]
+
+
 def batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig) -> np.ndarray:
-    """Diffusivity rows for a batch of raw residual rows, per the config mode."""
+    """Diffusivity rows for a batch of raw residual rows at the mode's (scale, alpha):
+    scale 0 is zeros, and alpha 0 the sigmoid of anything finite, scale / 2."""
     if not 0.0 <= s_t <= 1.0:
         raise ConfigError(f"s_t must be in [0, 1], got {s_t}")
-    if cfg.mode == "off":
+    scale, alpha = sigmoid_args(cfg, s_t)
+    if scale == 0.0:
         return np.zeros_like(d_rows)
-    if cfg.mode == "global":  # alpha = 0: the sigmoid of anything finite is s_t / 2
-        return np.full_like(d_rows, s_t / 2.0)
-    d_tilde = batch_normalize(d_rows)
-    if cfg.mode == "local":
-        return sigmoid_scale(d_tilde, cfg.local_scale, cfg.alpha)
-    return sigmoid_scale(d_tilde, s_t, cfg.alpha)
+    if alpha == 0.0:
+        return np.full_like(d_rows, scale / 2.0)
+    return sigmoid_scale(batch_normalize(d_rows), scale, alpha)
 
 
 def batch_smoothed_loss_grad(predictions: np.ndarray, targets: np.ndarray,

@@ -461,6 +461,23 @@ def test_a_one_file_cifar_load_does_not_copy_its_records(tmp_path, name):
     assert np.array_equal(ds.labels, records[:, 0].astype(np.int64))
 
 
+def test_a_one_member_gzip_load_peaks_near_its_decoded_size(tmp_path, cache):
+    """Cold (inflate, hash, store) and warm (hash, read the entry): beyond the
+    decoded buffer, only a few pieces of the file are held at once."""
+    payload = _gz_file(tmp_path / "f.gz", size=5 << 20)
+    for load in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            decoded = data._read_maybe_gzip(tmp_path / "f.gz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bytes(decoded) == payload
+        assert peak < len(payload) + (5 << 18), (load, peak - len(payload))
+        del decoded
+    assert _entry(cache, tmp_path / "f.gz").exists()
+
+
 # --- subsetting --------------------------------------------------------------------
 
 def small_dataset(n=100, features=3, classes=10, seed=24):
