@@ -2,7 +2,7 @@
 
 The scale follows a Laplace or Logistic probability density over normalized
 training progress in [0, 1], rescaled so the peak value is exactly 1 at
-progress `mu`. A `constant` kind returns a fixed scale and `off` returns 0.
+progress `mu`; `off` returns 0. A fixed scale is `local_scale`, in mode `local`.
 """
 
 import math
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, InputError
 
-KINDS = ("laplace", "logistic", "constant", "off")
+KINDS = ("laplace", "logistic", "off")
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,6 @@ class AnnealSchedule:
     kind: str = "off"
     mu: float = 0.75
     b: float = 0.5
-    const_s: float = 1.0  # used by kind == "constant" only
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -27,8 +26,6 @@ class AnnealSchedule:
             raise ConfigError(f"schedule scale b must be > 0, got {self.b}")
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"schedule peak mu must be in [0, 1], got {self.mu}")
-        if not 0.0 <= self.const_s <= 1.0:
-            raise ConfigError(f"const_s must be in [0, 1], got {self.const_s}")
 
 
 def logistic_pdf_scaled(t: float, mu: float, b: float) -> float:
@@ -50,8 +47,6 @@ def scale_at(schedule: AnnealSchedule, progress: float) -> float:
         raise InputError(f"progress must be in [0, 1], got {progress}")
     if schedule.kind == "off":
         return 0.0
-    if schedule.kind == "constant":
-        return schedule.const_s
     if schedule.kind == "laplace":
         return laplace_pdf_scaled(progress, schedule.mu, schedule.b)
     return logistic_pdf_scaled(progress, schedule.mu, schedule.b)

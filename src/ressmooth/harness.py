@@ -86,12 +86,9 @@ def prepare_data(config: ExperimentConfig):
     return train, load_split(ds, "test")
 
 
-def _diagnose_nonfinite(network: nn.Network, epoch: int, batch_idx: int, iteration: int) -> str:
-    bad = [i for i, (w, b) in enumerate(zip(network.weights, network.biases))
-           if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)))]
-    where = f"layers {bad}" if bad else "parameters finite; loss overflow"
-    return (f"non-finite loss at iteration {iteration} "
-            f"(epoch {epoch}, batch {batch_idx}); {where}")
+def _nonfinite_layers(network: nn.Network):
+    return [i for i, (w, b) in enumerate(zip(network.weights, network.biases))
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)))]
 
 
 def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
@@ -131,27 +128,30 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
             acts = nn.forward_batch(network, data_mod.features(xb))
             preds = acts[-1]
             correct += int((np.argmax(preds, axis=1) == lb).sum())  # while preds is warm
-            s_t = scale_at(config.schedule, progress) if sm.mode != "off" else 0.0
+            s_t = scale_at(config.schedule, progress)
             loss_rows, grad_rows, kappa = smoothing.batch_smoothed_loss_grad(preds, yb, s_t, sm)
             kappa_sum += float(kappa.mean(axis=1).sum())
             batch_loss = float(loss_rows.sum())
             if not math.isfinite(batch_loss):
-                raise TrainingError(_diagnose_nonfinite(network, epoch, batch_idx, t))
+                bad = _nonfinite_layers(network)
+                where = f"layers {bad}" if bad else "parameters finite; loss overflow"
+                raise TrainingError(f"non-finite loss at iteration {t} "
+                                    f"(epoch {epoch}, batch {batch_idx}); {where}")
             loss_sum += batch_loss
             grad_rows /= idx.size
             nn.backward_batch(network, acts, grad_rows, grads)
             optimizer.step(network, grads, progress)
             t += 1
-        for i, (w, b) in enumerate(zip(network.weights, network.biases)):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise TrainingError(f"non-finite parameters in layer {i} after epoch {epoch}")
+        bad = _nonfinite_layers(network)
+        if bad:
+            raise TrainingError(f"non-finite parameters in layer {bad[0]} after epoch {epoch}")
         val_acc, _ = evaluate(network, test_ds)
         metrics.append(EpochMetrics(
             epoch=epoch,
             train_loss=loss_sum / n,
             train_acc=100.0 * correct / n,
             val_acc=val_acc,
-            s_t=s_t,  # the epoch's last batch's
+            s_t=smoothing.sigmoid_args(sm, s_t)[0],  # the sigmoid's scale at the last batch
             mean_kappa=kappa_sum / n,
         ))
     return network, metrics
@@ -220,8 +220,7 @@ def grid_search(config: ExperimentConfig, b_values, alpha_values):
     # the sigmoid takes it at a scale not always 0: s_t's peak is 0 only if s_t always is
     peak = scale_at(schedule, schedule.mu)
     peak_scale, unit_alpha = smoothing.sigmoid_args(replace(sm, alpha=1.0), peak)
-    reads = {"b": (schedule.kind in ("laplace", "logistic")
-                   and smoothing.sigmoid_args(sm, 0.0) != smoothing.sigmoid_args(sm, peak)),
+    reads = {"b": smoothing.sigmoid_args(sm, 0.0) != smoothing.sigmoid_args(sm, peak),
              "alpha": peak_scale * unit_alpha != 0.0}
     for name, values in (("b", b_values), ("alpha", alpha_values)):
         if len(set(values)) != len(values):

@@ -41,7 +41,6 @@ def test_laplace_monotone_decay():
 
 def test_scale_at_kinds():
     assert scale_at(AnnealSchedule(kind="off"), 0.3) == 0.0
-    assert scale_at(AnnealSchedule(kind="constant", const_s=0.4), 0.9) == 0.4
     assert scale_at(AnnealSchedule(kind="laplace", mu=0.75, b=0.2), 0.75) == 1.0
     got = scale_at(AnnealSchedule(kind="logistic", mu=0.75, b=0.25), 0.25)
     assert got == pytest.approx(sech2(1.0), abs=1e-9)
@@ -62,8 +61,6 @@ def test_schedule_validation():
         AnnealSchedule(kind="laplace", b=0.0)
     with pytest.raises(ConfigError):
         AnnealSchedule(kind="laplace", mu=1.5)
-    with pytest.raises(ConfigError):
-        AnnealSchedule(kind="constant", const_s=1.2)
 
 
 def test_scale_stays_in_unit_interval():

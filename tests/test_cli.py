@@ -154,10 +154,14 @@ def test_grid_subcommand(tiny_corpus, tmp_path, capsys):
 
 
 def test_bad_config_exits_nonzero(tiny_corpus, capsys):
-    broken = tiny_corpus.read_text().replace("mode = global_local", "mode = nonsense")
-    tiny_corpus.write_text(broken)
-    assert main(["train", "--config", str(tiny_corpus)]) == 2
-    assert "error:" in capsys.readouterr().err
+    good = tiny_corpus.read_text()
+    for old, new, message in [
+            ("mode = global_local", "mode = nonsense", "unknown smoothing mode 'nonsense'"),
+            ("schedule = laplace", "schedule = constant", "unknown schedule kind 'constant'"),
+            ("b = 0.5", "b = 0.5\nconst_s = 0.6", "unknown key 'const_s' in [regularizer]")]:
+        tiny_corpus.write_text(good.replace(old, new))
+        assert main(["train", "--config", str(tiny_corpus)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_config_exits_nonzero(capsys):
@@ -243,14 +247,14 @@ def test_grid_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
 
 
 def test_grid_over_an_unread_axis_exits_nonzero(tiny_corpus, tmp_path, capsys):
-    # a constant schedule never reads b, so both b points would train alike
+    # schedule off never reads b, so both b points would train alike
     tiny_corpus.write_text(tiny_corpus.read_text().replace("schedule = laplace",
-                                                           "schedule = constant"))
+                                                           "schedule = off"))
     out = tmp_path / "out"
     code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
                  "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
     assert code == 2
-    assert ("error: smoothing mode global_local with schedule constant never reads b"
+    assert ("error: smoothing mode global_local with schedule off never reads b"
             in capsys.readouterr().err)
     assert not out.exists()
 

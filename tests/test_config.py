@@ -74,12 +74,14 @@ def test_parse_resolves_relative_paths(tmp_path):
 
 
 # eps_std is no key: the std clamp is the constant smoothing.EPS_STD
-@pytest.mark.parametrize("old, new", [
-    ("take = 10000", "tak = 10000"),
-    ("alpha = 1.0", "alpha = 1.0\neps_std = 1e-6"),
-], ids=["tak", "eps_std"])
-def test_unknown_key_is_fatal(old, new):
-    with pytest.raises(ConfigError, match="unknown key"):
+# and const_s is none either: a fixed scale is mode local's local_scale
+@pytest.mark.parametrize("old, new, message", [
+    ("take = 10000", "tak = 10000", r"^unknown key 'tak' in \[dataset\]$"),
+    ("alpha = 1.0", "alpha = 1.0\neps_std = 1e-6", r"^unknown key 'eps_std' in \[regularizer\]$"),
+    ("b = 0.5", "b = 0.5\nconst_s = 0.6", r"^unknown key 'const_s' in \[regularizer\]$"),
+], ids=["tak", "eps_std", "const_s"])
+def test_unknown_key_is_fatal(old, new, message):
+    with pytest.raises(ConfigError, match=message):
         parse_config_text(GOOD.replace(old, new))
 
 
@@ -113,6 +115,8 @@ def test_bad_enum_values():
         parse_config_text(GOOD.replace("kind = fashion_mnist", "kind = imagenet", 1))
     with pytest.raises(ConfigError, match="smoothing mode"):
         parse_config_text(GOOD.replace("mode = global_local", "mode = everywhere"))
+    with pytest.raises(ConfigError, match="^unknown schedule kind 'constant'$"):
+        parse_config_text(GOOD.replace("schedule = laplace", "schedule = constant"))
     with pytest.raises(ConfigError, match="output_activation .*got 'tanh'"):
         parse_config_text(GOOD.replace("output_activation = softmax", "output_activation = tanh"))
 
@@ -223,10 +227,10 @@ SET_EVERY_FIELD = {
                 replace(DEFAULTS, optimizer=AdaGradConfig(lr=0.01, eps=1e-9))),
     "regularizer": (
         {"regularizer": "mode = local\nalpha = 2.5\nn_steps = 3\nlocal_scale = 0.25\n"
-                        "schedule = logistic\nmu = 0.4\nb = 0.2\nconst_s = 0.6"},
+                        "schedule = logistic\nmu = 0.4\nb = 0.2"},
         replace(DEFAULTS, smoothing=SmoothingConfig(mode="local", alpha=2.5, n_steps=3,
                                                     local_scale=0.25),
-                schedule=AnnealSchedule(kind="logistic", mu=0.4, b=0.2, const_s=0.6))),
+                schedule=AnnealSchedule(kind="logistic", mu=0.4, b=0.2))),
     "run": ({"regularizer": "label_smoothing = 0.1",
              "run": "epochs = 7\nbatch_size = 32\ntrials = 2\nbase_seed = 9"},
             replace(DEFAULTS, label_smoothing=0.1, epochs=7, batch_size=32, trials=2,
