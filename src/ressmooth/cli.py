@@ -16,13 +16,6 @@ DEFAULT_B_GRID = "0.1,0.3,0.5,0.7,0.9"
 DEFAULT_ALPHA_GRID = "0.25,0.5,1,2,4"
 
 
-def _parse_grid(raw: str, flag: str):
-    values = float_list(raw, flag, None)
-    if not values:
-        raise ConfigError(f"{flag} must list at least one value")
-    return values
-
-
 def _add_run_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="override base_seed")
     sub.add_argument("--out-dir", default=".", help="directory for emitted files")
@@ -72,8 +65,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _load_config(args)
-    b_values = _parse_grid(args.b_grid, "--b-grid")
-    alpha_values = _parse_grid(args.alpha_grid, "--alpha-grid")
+    b_values = float_list(args.b_grid, "--b-grid", None)
+    alpha_values = float_list(args.alpha_grid, "--alpha-grid", None)
     rows, (b, alpha, mean_max_val_acc) = harness.grid_search(config, b_values, alpha_values)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

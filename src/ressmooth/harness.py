@@ -184,13 +184,25 @@ def summarize(metrics):
     return max(vals), sum(vals[-n_tail:]) / n_tail
 
 
+def read_axes(config: ExperimentConfig):
+    """(reads_b, reads_alpha): whether the run's kappa reads the schedule's b and the alpha.
+    b shapes s_t, read where the sigmoid's (scale, alpha) follow it; alpha is read where the
+    sigmoid takes it at a scale not always 0: s_t's peak is 0 only if s_t always is."""
+    sm, schedule = config.smoothing, config.schedule
+    peak = scale_at(schedule, schedule.mu)
+    peak_scale, unit_alpha = smoothing.sigmoid_args(replace(sm, alpha=1.0), peak)
+    return (smoothing.sigmoid_args(sm, 0.0) != smoothing.sigmoid_args(sm, peak),
+            peak_scale * unit_alpha != 0.0)
+
+
 def run_trials(config: ExperimentConfig, dataset_pair=None) -> TrialAggregate:
     """Train `trials` times with seeds base_seed .. base_seed + trials - 1.
-    Rows carry the config's (b, alpha), (0, 0) in mode off."""
+    Rows carry the (b, alpha) the run reads, 0 for a setting it does not."""
     if dataset_pair is None:
         dataset_pair = prepare_data(config)
-    b, alpha = ((config.schedule.b, config.smoothing.alpha)
-                if config.smoothing.mode != "off" else (0.0, 0.0))
+    reads_b, reads_alpha = read_axes(config)
+    b = config.schedule.b if reads_b else 0.0
+    alpha = config.smoothing.alpha if reads_alpha else 0.0
     rows, all_metrics, networks = [], [], []
     for k in range(config.trials):
         network, metrics = train(config, config.base_seed + k, dataset_pair)
@@ -208,39 +220,34 @@ def run_trials(config: ExperimentConfig, dataset_pair=None) -> TrialAggregate:
 
 def grid_search(config: ExperimentConfig, b_values, alpha_values):
     """run_trials per (b, alpha) point, in (b, alpha) order, keeping only each point's rows.
-    Returns (rows, best), best the (b, alpha, mean max val acc) of the largest mean, ties
-    to the smallest (b, alpha). An axis with several values must be one the config reads."""
-    if not b_values or not alpha_values:
-        raise ConfigError("grid values must be non-empty")
+    Returns (rows, best), best the rows' (b, alpha) and mean max val acc at the largest mean,
+    ties to the smallest point. An axis with several values must be one the config reads."""
+    axes = (("b", b_values), ("alpha", alpha_values))
+    for name, values in axes:
+        if not values:
+            raise ConfigError(f"{name} grid must list at least one value")
     sm, schedule = config.smoothing, config.schedule
     if sm.mode == "off":
         raise ConfigError("smoothing mode off has no (b, alpha) to search: "
                           "every grid point would train the same network")
-    # b shapes s_t, read where the sigmoid's (scale, alpha) follow it; alpha is read where
-    # the sigmoid takes it at a scale not always 0: s_t's peak is 0 only if s_t always is
-    peak = scale_at(schedule, schedule.mu)
-    peak_scale, unit_alpha = smoothing.sigmoid_args(replace(sm, alpha=1.0), peak)
-    reads = {"b": smoothing.sigmoid_args(sm, 0.0) != smoothing.sigmoid_args(sm, peak),
-             "alpha": peak_scale * unit_alpha != 0.0}
-    for name, values in (("b", b_values), ("alpha", alpha_values)):
+    for (name, values), reads in zip(axes, read_axes(config)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} grid {sorted(values)} repeats a value")
-        if len(values) > 1 and not reads[name]:
+        if len(values) > 1 and not reads:
             setting = (f"local_scale {sm.local_scale:g}" if (name, sm.mode) == ("alpha", "local")
                        else f"schedule {schedule.kind}")
             raise ConfigError(f"smoothing mode {sm.mode} with {setting} never "
                               f"reads {name}: every point of the {name} grid {sorted(values)} "
                               "would train the same network")
-    points = [(b, alpha, replace(config, schedule=replace(schedule, b=b),
-                                 smoothing=replace(sm, alpha=alpha)))
+    points = [replace(config, schedule=replace(schedule, b=b), smoothing=replace(sm, alpha=alpha))
               for b in sorted(b_values) for alpha in sorted(alpha_values)]
     dataset_pair = prepare_data(config)  # once every point's config is built and checked
     rows, best = [], None
-    for b, alpha, point_config in points:
+    for point_config in points:
         point = run_trials(point_config, dataset_pair)
         rows.extend(point.rows)
         if best is None or point.mean_max_val_acc > best[2]:  # a tie keeps the smaller point
-            best = (b, alpha, point.mean_max_val_acc)
+            best = (point.rows[0].b, point.rows[0].alpha, point.mean_max_val_acc)
         del point  # and its networks, before the next point trains
     return rows, best
 

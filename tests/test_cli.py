@@ -153,6 +153,18 @@ def test_grid_subcommand(tiny_corpus, tmp_path, capsys):
     assert "best b=" in capsys.readouterr().out
 
 
+def test_grid_in_mode_local_writes_b_0(tiny_corpus, tmp_path, capsys):
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", "mode = local"))
+    out = tmp_path / "out"
+    code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
+                 "--trials", "1", "--b-grid", "0.5", "--alpha-grid", "1,2"])
+    assert code == 0
+    rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["0.000000", "1.000000"], ["0.000000", "2.000000"]]
+    assert re.search(r"^best b=0 alpha=[12] mean max val acc: ", capsys.readouterr().out,
+                     flags=re.M)
+
+
 def test_bad_config_exits_nonzero(tiny_corpus, capsys):
     good = tiny_corpus.read_text()
     for old, new, message in [
@@ -190,6 +202,14 @@ def test_bad_grid_flag_exits_nonzero(tiny_corpus, tmp_path, capsys):
     assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
                  "--b-grid", "a,b"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--b-grid", "b"), ("--alpha-grid", "alpha")])
+def test_empty_grid_exits_nonzero(tiny_corpus, tmp_path, capsys, flag, name):
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out), flag, ""]) == 2
+    assert capsys.readouterr().err == f"error: {name} grid must list at least one value\n"
     assert not out.exists()
 
 

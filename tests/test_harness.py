@@ -604,9 +604,13 @@ def test_grid_refuses_a_bad_point_before_reading_the_corpus(monkeypatch, b_value
         grid_search(cfg, b_values, alpha_values)
 
 
-def test_grid_rejects_empty(make_blobs):
-    with pytest.raises(ConfigError):
-        grid_search(blob_config(), [], [1.0])
+def test_grid_rejects_empty():
+    for mode in ("global_local", "off"):  # an empty axis is named first, in every mode
+        cfg = blob_config(mode=mode, schedule_kind="laplace", alpha=1.0)
+        for b_values, alpha_values, name in [([], [1.0], "b"), ([0.5], [], "alpha"),
+                                             ([], [], "b")]:
+            with pytest.raises(ConfigError, match=f"^{name} grid must list at least one value$"):
+                grid_search(cfg, b_values, alpha_values)
 
 
 # --- CSV emission ------------------------------------------------------------------------
@@ -639,13 +643,22 @@ def test_csv_emission_is_byte_stable(tmp_path, make_blobs):
 
 
 def test_aggregate_csv_schema(tmp_path, make_blobs):
+    # the (b, alpha) columns are the settings the run reads, 0 for one it does not
     pair = blob_pair(make_blobs)
-    aggregate = run_trials(blob_config(epochs=2, trials=2, mode="global",
-                                       schedule_kind="laplace", b=0.3), pair)
-    path = tmp_path / "agg.csv"
-    write_aggregate_csv(aggregate.rows, path)
-    header, rows = read_csv(path)
-    assert header == AGGREGATE_HEADER.split(",")
-    assert len(rows) == 2
-    assert rows[0][0] == "0.300000"
-    assert rows[0][2] == "0" and rows[1][2] == "1"
+    for mode, kind, local_scale, columns in [
+            ("off", "laplace", 1.0, ("0.000000", "0.000000")),
+            ("global", "laplace", 1.0, ("0.300000", "0.000000")),
+            ("local", "laplace", 1.0, ("0.000000", "1.500000")),
+            ("global_local", "laplace", 1.0, ("0.300000", "1.500000")),
+            ("global_local", "off", 1.0, ("0.000000", "0.000000")),
+            ("local", "laplace", 0.0, ("0.000000", "0.000000"))]:
+        cfg = blob_config(epochs=2, trials=2, mode=mode, schedule_kind=kind, b=0.3, alpha=1.5)
+        cfg = dataclasses.replace(cfg, smoothing=dataclasses.replace(cfg.smoothing,
+                                                                     local_scale=local_scale))
+        path = tmp_path / f"{mode}-{kind}-{local_scale}.csv"
+        write_aggregate_csv(run_trials(cfg, pair).rows, path)
+        header, rows = read_csv(path)
+        assert header == AGGREGATE_HEADER.split(",")
+        assert len(rows) == 2
+        assert [tuple(row[:2]) for row in rows] == [columns] * 2, (mode, kind, local_scale)
+        assert rows[0][2] == "0" and rows[1][2] == "1"
