@@ -221,24 +221,23 @@ def run_trials(config: ExperimentConfig, dataset_pair=None) -> TrialAggregate:
 def grid_search(config: ExperimentConfig, b_values, alpha_values):
     """run_trials per (b, alpha) point, in (b, alpha) order, keeping only each point's rows.
     Returns (rows, best), best the rows' (b, alpha) and mean max val acc at the largest mean,
-    ties to the smallest point. An axis with several values must be one the config reads."""
+    ties to the smallest point. Refuses a grid whose points `read_axes` cannot tell apart."""
     axes = (("b", b_values), ("alpha", alpha_values))
     for name, values in axes:
         if not values:
             raise ConfigError(f"{name} grid must list at least one value")
     sm, schedule = config.smoothing, config.schedule
-    if sm.mode == "off":
-        raise ConfigError("smoothing mode off has no (b, alpha) to search: "
+    reads = read_axes(config)
+    setting = f"smoothing mode {sm.mode} (schedule {schedule.kind}, local_scale {sm.local_scale:g})"
+    if not any(reads):
+        raise ConfigError(f"{setting} reads neither b nor alpha: "
                           "every grid point would train the same network")
-    for (name, values), reads in zip(axes, read_axes(config)):
+    for (name, values), read in zip(axes, reads):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} grid {sorted(values)} repeats a value")
-        if len(values) > 1 and not reads:
-            setting = (f"local_scale {sm.local_scale:g}" if (name, sm.mode) == ("alpha", "local")
-                       else f"schedule {schedule.kind}")
-            raise ConfigError(f"smoothing mode {sm.mode} with {setting} never "
-                              f"reads {name}: every point of the {name} grid {sorted(values)} "
-                              "would train the same network")
+        if len(values) > 1 and not read:
+            raise ConfigError(f"{setting} never reads {name}: every point of the {name} grid "
+                              f"{sorted(values)} would train the same network")
     points = [replace(config, schedule=replace(schedule, b=b), smoothing=replace(sm, alpha=alpha))
               for b in sorted(b_values) for alpha in sorted(alpha_values)]
     dataset_pair = prepare_data(config)  # once every point's config is built and checked

@@ -262,20 +262,22 @@ def test_grid_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
     code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
                  "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
     assert code == 2
-    assert "error: smoothing mode off has no (b, alpha) to search" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: smoothing mode off (schedule laplace, local_scale 1) reads neither b nor alpha: "
+        "every grid point would train the same network\n")
     assert not out.exists()
 
 
 def test_grid_over_an_unread_axis_exits_nonzero(tiny_corpus, tmp_path, capsys):
-    # schedule off never reads b, so both b points would train alike
-    tiny_corpus.write_text(tiny_corpus.read_text().replace("schedule = laplace",
-                                                           "schedule = off"))
+    # mode local never reads b, so both b points would train alike
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", "mode = local"))
     out = tmp_path / "out"
     code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
                  "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
     assert code == 2
-    assert ("error: smoothing mode global_local with schedule off never reads b"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        "error: smoothing mode local (schedule laplace, local_scale 1) never reads b: "
+        "every point of the b grid [0.3, 0.5] would train the same network\n")
     assert not out.exists()
 
 

@@ -9,17 +9,17 @@ import pytest
 
 from conftest import net_of, read_csv, write_idx_pair
 from ressmooth import harness, nn, optim
-from ressmooth.annealing import AnnealSchedule, scale_at
+from ressmooth.annealing import KINDS, AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.data import features, load_cifar10_bin, load_idx, take_uniform
 from ressmooth.errors import ConfigError, InputError, TrainingError
 from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, TrialAggregate,
-                               TrialRow, evaluate, grid_search, prepare_data, run_trials,
-                               substream, summarize, train, write_aggregate_csv,
+                               TrialRow, evaluate, grid_search, prepare_data, read_axes,
+                               run_trials, substream, summarize, train, write_aggregate_csv,
                                write_metrics_csv)
 from ressmooth.nn import build_network
 from ressmooth.optim import SgdConfig
-from ressmooth.smoothing import SmoothingConfig
+from ressmooth.smoothing import MODES, SmoothingConfig
 
 BLOB_DATASET = DatasetSpec(kind="fashion_mnist", train_images="unused", train_labels="unused",
                            test_images="unused", test_labels="unused")
@@ -481,6 +481,30 @@ def test_run_trials_repeatable(make_blobs):
     assert a.rows == b.rows
 
 
+@pytest.mark.parametrize("mode, kind, local_scale", [
+    *((mode, kind, 1.0) for mode in MODES for kind in KINDS),
+    *(("local", kind, 0.0) for kind in KINDS)])
+def test_read_axes_says_which_axis_moves_the_trained_bytes(make_blobs, mode, kind, local_scale):
+    # the rule behind the grid's refusals and the rows' (b, alpha) labels, against training:
+    # an axis is read exactly when changing it moves the parameter bytes or the metrics
+    centers = ((2.0, 0.0, 0.0), (-2.0, 0.0, 0.0), (0.0, 2.0, 0.0))
+    pair = (make_blobs(centers=centers, noise=0.4, seed=0, split="train"),  # 90 rows
+            make_blobs(n_per_class=10, centers=centers, noise=0.4, seed=1, split="test"))
+
+    def config(b, alpha):
+        cfg = blob_config(epochs=2, mode=mode, schedule_kind=kind, b=b, alpha=alpha)
+        return dataclasses.replace(cfg, smoothing=dataclasses.replace(cfg.smoothing,
+                                                                      local_scale=local_scale))
+
+    def trained(b, alpha):
+        network, metrics = train(config(b, alpha), 0, pair)
+        return network.params.tobytes(), metrics
+
+    base = trained(0.5, 1.0)
+    moved = (trained(0.2, 1.0) != base, trained(0.5, 3.0) != base)
+    assert read_axes(config(0.5, 1.0)) == moved
+
+
 # --- grid search -----------------------------------------------------------------------
 
 def test_grid_single_point_equals_run_trials(make_blobs, monkeypatch):
@@ -563,16 +587,29 @@ def test_grid_keeps_no_network(make_blobs, monkeypatch):
     assert [ref() for ref in refs] == [None] * 8
 
 
+_NEVER_READS = {  # each refusal's text after "smoothing mode ... (schedule ..., local_scale ...)"
+    "neither": "reads neither b nor alpha: every grid point would train the same network",
+    "b": "never reads b: every point of the b grid [0.3, 0.7] would train the same network",
+    "alpha": "never reads alpha: every point of the alpha grid [1.0, 2.0] would train the same "
+             "network",
+}
+
+
 @pytest.mark.parametrize("mode, kind, local_scale, b_values, alpha_values, unread", [
-    ("global", "off", 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global", "off", 1.0, [0.7, 0.3], [1.0], "neither"),
     ("local", "laplace", 1.0, [0.7, 0.3], [1.0], "b"),
-    ("global_local", "off", 1.0, [0.7, 0.3], [1.0], "b"),
+    ("global_local", "off", 1.0, [0.7, 0.3], [1.0], "neither"),
     ("global", "laplace", 1.0, [0.5], [1.0, 2.0], "alpha"),
-    ("global_local", "off", 1.0, [0.5], [1.0, 2.0], "alpha"),
-    ("local", "laplace", 0.0, [0.5], [0.5, 1.0, 4.0], "alpha"),
+    ("global_local", "off", 1.0, [0.5], [1.0, 2.0], "neither"),
+    ("local", "laplace", 0.0, [0.5], [0.5, 1.0, 4.0], "neither"),
     ("global", "logistic", 1.0, [0.7, 0.3], [1.0], None),
     ("global_local", "laplace", 1.0, [0.7, 0.3], [1.0, 2.0], None),
     ("local", "off", 1.0, [0.5], [1.0, 2.0], None),
+    # a config that reads neither axis is refused even for a one-point grid
+    ("off", "laplace", 1.0, [0.5], [1.0], "neither"),
+    ("global", "off", 1.0, [0.5], [1.0], "neither"),
+    ("global_local", "off", 1.0, [0.5], [1.0], "neither"),
+    ("local", "laplace", 0.0, [0.5], [1.0], "neither"),
 ])
 def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
         monkeypatch, mode, kind, local_scale, b_values, alpha_values, unread):
@@ -585,9 +622,10 @@ def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
         rows, _ = grid_search(cfg, b_values, alpha_values)
         assert len(rows) == len(b_values) * len(alpha_values)  # one trial per point
     else:
-        with pytest.raises(ConfigError, match=f"never reads {unread}: every point") as err:
+        with pytest.raises(ConfigError) as err:
             grid_search(cfg, b_values, alpha_values)
-        assert ("with local_scale 0 never" in str(err.value)) == (local_scale == 0.0)
+        assert str(err.value) == (f"smoothing mode {mode} (schedule {kind}, local_scale "
+                                  f"{local_scale:g}) {_NEVER_READS[unread]}")
 
 
 @pytest.mark.parametrize("b_values, alpha_values, message", [

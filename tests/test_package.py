@@ -2,6 +2,8 @@ import ast
 from pathlib import Path
 
 import ressmooth
+from ressmooth.annealing import KINDS
+from ressmooth.smoothing import MODES
 
 PACKAGE = Path(ressmooth.__file__).parent
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
@@ -64,3 +66,12 @@ def test_every_function_and_class_is_used_in_the_package():
               for statement in parse(module).body
               if isinstance(statement, DEFINITIONS) and statement.name not in used}
     assert unused == set()
+
+
+def test_the_run_layers_name_no_mode_or_schedule_kind():
+    # which of (b, alpha) a run reads is decided by value, in `harness.read_axes` and
+    # `smoothing.sigmoid_args`; a mode or schedule name in these layers would decide it again
+    named = {f"{module}.py:{node.lineno} {node.value!r}" for module in ("harness", "cli")
+             for node in ast.walk(parse(module))
+             if isinstance(node, ast.Constant) and node.value in (*MODES, *KINDS)}
+    assert named == set()
