@@ -12,9 +12,6 @@ from . import harness, nn
 from .config import float_list, parse_config
 from .errors import ConfigError, FormatError, InputError, ShapeError, TrainingError
 
-DEFAULT_B_GRID = "0.1,0.3,0.5,0.7,0.9"
-DEFAULT_ALPHA_GRID = "0.25,0.5,1,2,4"
-
 
 def _add_run_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="override base_seed")
@@ -33,8 +30,8 @@ def build_parser():
         command.add_argument("--config", required=True, help="experiment config file")
     _add_run_flags(train_p)
     _add_run_flags(grid_p)
-    grid_p.add_argument("--b-grid", default=DEFAULT_B_GRID)
-    grid_p.add_argument("--alpha-grid", default=DEFAULT_ALPHA_GRID)
+    grid_p.add_argument("--b-grid", help="comma-separated b values (default: the config's b)")
+    grid_p.add_argument("--alpha-grid", help="comma-separated alphas (default: the config's alpha)")
     eval_p.add_argument("--checkpoint", required=True)
     return parser
 
@@ -65,8 +62,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _load_config(args)
-    b_values = float_list(args.b_grid, "--b-grid", None)
-    alpha_values = float_list(args.alpha_grid, "--alpha-grid", None)
+    b_values = ((config.schedule.b,) if args.b_grid is None
+                else float_list(args.b_grid, "--b-grid", None))
+    alpha_values = ((config.smoothing.alpha,) if args.alpha_grid is None
+                    else float_list(args.alpha_grid, "--alpha-grid", None))
     rows, (b, alpha, mean_max_val_acc) = harness.grid_search(config, b_values, alpha_values)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,7 @@ from . import data as data_mod
 from . import nn, optim, smoothing
 from .annealing import scale_at
 from .config import DATASET_FILES, DatasetSpec, ExperimentConfig
-from .errors import ConfigError, InputError, TrainingError
+from .errors import ConfigError, InputError, ShapeError, TrainingError
 
 _EVAL_CHUNK = 1024  # rows per product; fixed, as a row's bits depend on its product's row count
 _STREAMS = {"init": 0, "shuffle": 1, "augment": 2, "take": 3, "ratio": 4}
@@ -97,6 +97,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
     train_ds, test_ds = dataset_pair
     if train_ds.n == 0:
         raise InputError("empty training split")
+    if (shapes := [(ds.feature_count, ds.class_count) for ds in dataset_pair])[0] != shapes[1]:
+        raise ShapeError(f"test split (features, classes) {shapes[1]} != train split {shapes[0]}")
 
     dims = [train_ds.feature_count, *config.model.hidden, train_ds.class_count]
     network = nn.build_network(dims, config.model.output_activation,

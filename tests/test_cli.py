@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
+from ressmooth import nn
 from ressmooth.cli import main
 
 
@@ -163,6 +164,76 @@ def test_grid_in_mode_local_writes_b_0(tiny_corpus, tmp_path, capsys):
     assert [row[:2] for row in rows] == [["0.000000", "1.000000"], ["0.000000", "2.000000"]]
     assert re.search(r"^best b=0 alpha=[12] mean max val acc: ", capsys.readouterr().out,
                      flags=re.M)
+
+
+# (mode, schedule) edits of tiny_corpus for each kind of config that reads an axis,
+# and the (b, alpha) its rows carry: 0 for a setting the config does not read
+_READS_AN_AXIS = {
+    "global-laplace": ([("mode = global_local", "mode = global")], "0.5", "0"),
+    "global_local-laplace": ([], "0.5", "1"),
+    "global_local-logistic": ([("schedule = laplace", "schedule = logistic")], "0.5", "1"),
+    "local-laplace": ([("mode = global_local", "mode = local")], "0", "1"),
+    "local-off": ([("mode = global_local", "mode = local"),
+                   ("schedule = laplace", "schedule = off")], "0", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READS_AN_AXIS))
+def test_grid_without_axis_flags_runs_the_configs_own_point(tiny_corpus, tmp_path, capsys, case):
+    edits, b, alpha = _READS_AN_AXIS[case]
+    text = tiny_corpus.read_text()
+    for old, new in edits:
+        text = text.replace(old, new)
+    tiny_corpus.write_text(text)
+    assert main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "train")]) == 0
+    mean_max = re.search(r"^mean max val acc: (.*)$", capsys.readouterr().out, flags=re.M)[1]
+    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "grid")]) == 0
+    assert capsys.readouterr().out == (
+        f"grid points: 1\nbest b={b} alpha={alpha} mean max val acc: {mean_max}\n")
+    assert ((tmp_path / "grid" / "grid.csv").read_bytes()
+            == (tmp_path / "train" / "aggregate.csv").read_bytes())
+
+
+@pytest.mark.parametrize("mode, flag, values, label", [
+    ("global", "--b-grid", "0.3,0.5", [["0.300000", "0.000000"], ["0.500000", "0.000000"]]),
+    ("local", "--alpha-grid", "1,2", [["0.000000", "1.000000"], ["0.000000", "2.000000"]]),
+], ids=["global", "local"])
+def test_grid_over_the_one_axis_a_mode_reads(tiny_corpus, tmp_path, mode, flag, values, label):
+    # the other axis is the config's own value, which this mode does not read
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", f"mode = {mode}"))
+    out = tmp_path / "out"
+    code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
+                 "--trials", "1", flag, values])
+    assert code == 0
+    rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == label
+
+
+def test_grid_without_axis_flags_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", "mode = off"))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: smoothing mode off (schedule laplace, local_scale 1) reads neither b nor alpha: "
+        "every grid point would train the same network\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_a_test_split_that_does_not_fit_the_network_exits_before_training(
+        tiny_corpus, tmp_path, capsys, monkeypatch, command):
+    images = np.zeros((30, 6, 6), np.uint8)  # 36 features next to the train split's 64
+    write_idx_pair(images, np.arange(30) % 10, tmp_path / "vi.gz", tmp_path / "vl.gz")
+
+    def forward_batch(*args):
+        raise AssertionError("trained before the splits were checked")
+
+    monkeypatch.setattr(nn, "forward_batch", forward_batch)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tiny_corpus), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: test split (features, classes) (36, 10) != train split (64, 10)\n")
+    assert not out.exists()
 
 
 def test_bad_config_exits_nonzero(tiny_corpus, capsys):

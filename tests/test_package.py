@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import ressmooth
+from ressmooth import cli
 from ressmooth.annealing import KINDS
 from ressmooth.smoothing import MODES
 
@@ -75,3 +76,12 @@ def test_the_run_layers_name_no_mode_or_schedule_kind():
              for node in ast.walk(parse(module))
              if isinstance(node, ast.Constant) and node.value in (*MODES, *KINDS)}
     assert named == set()
+
+
+def test_the_cli_holds_no_run_setting_of_its_own():
+    # an omitted flag falls back to the config; only the output directory has a default
+    for command in ("train", "grid"):
+        args = vars(cli.build_parser().parse_args([command, "--config", "x"]))
+        set_by_cli = {name: value for name, value in args.items()
+                      if value is not None and name not in ("command", "config", "out_dir")}
+        assert set_by_cli == {}
