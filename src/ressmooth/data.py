@@ -8,21 +8,21 @@ Gzip-wrapped IDX files are accepted. CIFAR-10 binary: 3073-byte records,
 one label byte then 1024 R + 1024 G + 1024 B plane bytes.
 
 A gzip file is inflated a piece at a time into one buffer sized from its ISIZE
-trailer. A clean inflate is kept in $XDG_CACHE_HOME/ressmooth, named by the
-file's sha256, and read back by later loads when its length and CRC-32 match
-the trailer; past _CACHE_BYTES, the least recently used entries go. The
-loaders return the raw uint8 pixel codes (the IDX one, and a one-file CIFAR
-one, a read-only view of the decoded bytes), and the codes stay codes through
+trailer. A clean inflate is kept in $XDG_CACHE_HOME/ressmooth as
+<length>-<crc32>-<isize>: the file's bytes, then the decoded ones. A later load
+reads it back only when that copy equals the file and the rest has the trailer's
+length and CRC-32; past _CACHE_BYTES, the least recently used entries go. The
+loaders return the raw uint8 pixel codes (the IDX one, and a one-file CIFAR one,
+a read-only view of the decoded bytes), and the codes stay codes through
 subsetting, batching and augmentation: `features` turns one batch or one
 evaluation chunk at a time into float64 features in [0, 1] by /255, with no
-further normalization. `augment_batch` pads, crops and mirrors a whole batch
-of CIFAR rows; the per-image reference it is tested against lives in the tests
+further normalization. `augment_batch` pads, crops and mirrors a whole batch of
+CIFAR rows; the per-image reference it is tested against lives in the tests
 (`oracles.py`).
 """
 
 import contextlib
 import gzip
-import hashlib
 import math
 import os
 import re
@@ -99,8 +99,8 @@ def _inflate_one_member(f):
     """Inflate a gzip file holding one member into a uint8 array of its ISIZE
     (the decoded size mod 2**32), or None when the stream does not end
     cleanly at exactly that size and at the end of the file. A cache entry
-    that passes the trailer's checks stands in for the inflate, and a clean
-    inflate is stored as the entry."""
+    that copies the file and passes the trailer's checks stands in for the
+    inflate, and a clean inflate is stored as the entry."""
     compressed = os.fstat(f.fileno()).st_size
     if compressed < 18:  # shorter than a gzip header and trailer
         return None
@@ -112,8 +112,8 @@ def _inflate_one_member(f):
         out = np.empty(size, np.uint8)  # untouched pages cost no memory
     except MemoryError:
         return None
-    entry = _cache_entry(f)
-    if entry is not None and _read_entry(entry, out, crc):
+    entry = _cache_entry(compressed, crc, size)
+    if entry is not None and _read_entry(entry, f, compressed, out, crc):
         with contextlib.suppress(OSError):
             os.utime(entry)  # a hit is a use: an entry's mtime is its last
         return out
@@ -134,52 +134,56 @@ def _inflate_one_member(f):
     if pos != size or inflater.unused_data or f.read(1):
         return None
     if entry is not None:
-        _write_entry(entry, out)
+        _write_entry(entry, f, out)
     return out
 
 
-def _cache_entry(f):
-    """The cache path of the open file's bytes, $XDG_CACHE_HOME/ressmooth/<sha256>
-    (~/.cache/ressmooth/ when that is unset or relative), or None without a home."""
+def _cache_entry(length, crc, size):
+    """$XDG_CACHE_HOME/ressmooth/<length>-<crc:08x>-<size> for a gzip file's length and
+    trailer (~/.cache/ when XDG_CACHE_HOME is unset or relative), or None without a home."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         home = os.path.expanduser("~")
         if not (os.path.isabs(home) and os.path.isdir(home)):
             return None
         base = os.path.join(home, ".cache")
-    digest = hashlib.sha256()
-    f.seek(0)
-    while piece := f.read(_GZIP_PIECE):
-        digest.update(piece)
-    return os.path.join(base, "ressmooth", digest.hexdigest())
+    return os.path.join(base, "ressmooth", f"{length}-{crc:08x}-{size}")
 
 
-def _read_entry(entry, out, crc) -> bool:
-    """Fill `out` from a cache entry; True only when the entry has out's
-    length and the trailer's CRC-32, the check gunzip applies."""
+def _read_entry(entry, f, length, out, crc) -> bool:
+    """Fill `out` from a cache entry; True only when its first `length` bytes equal
+    the open file's and the rest has out's length and the trailer's CRC-32."""
     try:
-        with open(entry, "rb") as f:
-            return (os.fstat(f.fileno()).st_size == out.size and f.readinto(out) == out.size
+        with open(entry, "rb") as cached:
+            same = os.fstat(cached.fileno()).st_size == length + out.size
+            f.seek(0)
+            while same and (piece := f.read(_GZIP_PIECE)):
+                same = cached.read(len(piece)) == piece
+            return (same and cached.tell() == length and cached.readinto(out) == out.size
                     and zlib.crc32(out) == crc)
     except OSError:
         return False
 
 
-def _write_entry(entry, out):
-    """Store a verified inflate as the cache entry, through a temp file and
-    os.replace, then delete the other entries with the oldest mtimes until the
-    cache fits _CACHE_BYTES. An OSError ends the store, leaving no temp file."""
+def _write_entry(entry, f, out):
+    """Store the open file's bytes and their verified inflate as the cache entry,
+    through a temp file and os.replace, then delete the other entries with the
+    oldest mtimes until the cache fits _CACHE_BYTES. An OSError ends the store,
+    leaving no temp file."""
     folder, tmp = os.path.dirname(entry), None
     try:
         os.makedirs(folder, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=folder)
-        with open(fd, "wb") as f:
-            f.write(out)
+        with open(fd, "wb") as cached:
+            f.seek(0)
+            while piece := f.read(_GZIP_PIECE):
+                cached.write(piece)
+            cached.write(out)
         os.replace(tmp, entry)
         tmp = None
-        with os.scandir(folder) as found:
+        with os.scandir(folder) as found:  # entries, and sha256-named older ones; no temp files
             entries = sorted((e.stat().st_mtime_ns, e.path, e.stat().st_size) for e in found
-                             if re.fullmatch("[0-9a-f]{64}", e.name))  # no temp files
+                             if re.fullmatch(r"\d+-[0-9a-f]{8}-\d+|[0-9a-f]{64}", e.name))
         excess = sum(size for *_, size in entries) - _CACHE_BYTES
         for _, path, size in entries:
             if excess > 0 and path != entry:

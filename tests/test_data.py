@@ -272,7 +272,15 @@ def _gz_file(path, seed=29, size=5000):
 
 
 def _entry(cache, path):
-    return cache / "ressmooth" / hashlib.sha256(path.read_bytes()).hexdigest()
+    """The cache entry of a gzip file, named from its length and trailer."""
+    blob = path.read_bytes()
+    crc, size = struct.unpack("<II", blob[-8:])
+    return cache / "ressmooth" / f"{len(blob)}-{crc:08x}-{size}"
+
+
+def _entry_size(path):
+    """An entry's bytes: a copy of the gzip file, then its 5000-byte payload."""
+    return path.stat().st_size + 5000
 
 
 @pytest.fixture
@@ -314,17 +322,55 @@ def test_a_damaged_copy_of_a_cached_file_is_the_same_format_error(tmp_path, cach
     assert list((cache / "ressmooth").iterdir()) == [intact]
 
 
-@pytest.mark.parametrize("damage", [lambda e: e[:-1], lambda e: e + b"\0",
-                                    lambda e: e[:7] + bytes([e[7] ^ 4]) + e[8:]],
-                         ids=["truncated", "extended", "bit-flipped"])
+def _flip(at):
+    return lambda e, n: e[:at(n)] + bytes([e[at(n)] ^ 4]) + e[at(n) + 1:]
+
+
+# the entry is the file's n bytes, then the payload: a wrong size, a copy that
+# differs from the file and a payload off its CRC-32 are each a miss
+@pytest.mark.parametrize("damage", [lambda e, n: e[:-1], lambda e, n: e + b"\0",
+                                    _flip(lambda n: 7), _flip(lambda n: n // 2),
+                                    _flip(lambda n: n + 2500)],
+                         ids=["truncated", "extended", "bit-flipped", "copy-flipped",
+                              "payload-flipped"])
 def test_a_damaged_entry_is_a_miss_and_is_rewritten(tmp_path, cache, damage):
     payload = _gz_file(tmp_path / "f.gz")
+    blob = (tmp_path / "f.gz").read_bytes()
     data._read_maybe_gzip(tmp_path / "f.gz")
     entry = _entry(cache, tmp_path / "f.gz")
-    entry.write_bytes(damage(entry.read_bytes()))
+    entry.write_bytes(damage(entry.read_bytes(), len(blob)))
     assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == payload
-    assert entry.read_bytes() == payload
+    assert entry.read_bytes() == blob + payload
     assert list(entry.parent.iterdir()) == [entry]  # no temp file left
+
+
+def test_files_with_one_trailer_and_length_each_load_their_own_bytes(tmp_path, cache):
+    # two 16-byte payloads with one CRC-32, from a birthday search over
+    # default_rng(21).bytes(16); stored at level 0, their gzip files have one
+    # length and trailer, so one entry name, and only the byte comparison
+    # tells them apart
+    a = bytes.fromhex("e074f2d84d3128979e56aeab5a17b64d")
+    b = bytes.fromhex("0db91e4df2dce07e1497e5e6c5a5dae0")
+    assert a != b and zlib.crc32(a) == zlib.crc32(b)
+    for name, payload in (("a.gz", a), ("b.gz", b)):
+        (tmp_path / name).write_bytes(gzip.compress(payload, compresslevel=0, mtime=0))
+    assert _entry(cache, tmp_path / "a.gz") == _entry(cache, tmp_path / "b.gz")
+    for name, payload in (("a.gz", a), ("b.gz", b), ("a.gz", a)):
+        path = tmp_path / name
+        assert bytes(data._read_maybe_gzip(path)) == payload
+        assert _entry(cache, path).read_bytes() == path.read_bytes() + payload
+
+
+def test_a_load_hashes_nothing(tmp_path, cache, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hashed")
+
+    monkeypatch.setattr(hashlib, "sha256", refuse)
+    monkeypatch.setattr(hashlib, "new", refuse)
+    payload = _gz_file(tmp_path / "f.gz")
+    for load in ("cold", "warm"):
+        assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == payload, load
+    assert _entry(cache, tmp_path / "f.gz").exists()
 
 
 @pytest.mark.parametrize("where", ["XDG_CACHE_HOME is a file", "the entry is a directory",
@@ -370,10 +416,10 @@ def _stored(cache, *paths, mtimes=()):
 
 
 def test_a_store_past_the_cap_deletes_the_least_recently_used(tmp_path, cache, monkeypatch):
-    monkeypatch.setattr(data, "_CACHE_BYTES", 2 * 5000)  # two of the 5000-byte payloads
     paths = [tmp_path / f"{k}.gz" for k in range(4)]
     for k, path in enumerate(paths):
         _gz_file(path, seed=k)
+    monkeypatch.setattr(data, "_CACHE_BYTES", 2 * _entry_size(paths[0]))  # two entries
     first, second = _stored(cache, *paths[:2], mtimes=(2, 1))
     third, = _stored(cache, paths[2])
     assert sorted((cache / "ressmooth").iterdir()) == sorted([first, third])
@@ -390,10 +436,10 @@ def test_the_entry_just_stored_stays_past_the_cap(tmp_path, cache, monkeypatch):
 
 
 def test_a_hit_outlives_older_entries(tmp_path, cache, monkeypatch):
-    monkeypatch.setattr(data, "_CACHE_BYTES", 2 * 5000)
     paths = [tmp_path / f"{k}.gz" for k in range(3)]
     for k, path in enumerate(paths):
         _gz_file(path, seed=k)
+    monkeypatch.setattr(data, "_CACHE_BYTES", 2 * _entry_size(paths[0]))
     first, second = _stored(cache, *paths[:2], mtimes=(1, 2))
     with monkeypatch.context() as hit_only:
         _no_inflate(hit_only)
@@ -404,19 +450,27 @@ def test_a_hit_outlives_older_entries(tmp_path, cache, monkeypatch):
 
 
 def test_only_entry_names_are_pruned(tmp_path, cache, monkeypatch):
-    # a concurrent writer's mkstemp file and names that are no sha256 digest
-    # neither count nor go, however old and large
-    monkeypatch.setattr(data, "_CACHE_BYTES", 5000)
+    # a concurrent writer's mkstemp file and names that are no entry's neither
+    # count nor go, however old and large; an entry named by the sha256 of its
+    # file, as entries were before, counts and goes first
     folder = cache / "ressmooth"
     folder.mkdir(parents=True)
-    others = [folder / "tmpa1b2c3d4", folder / ("g" * 64), folder / ("A" * 64)]
+    others = [folder / "tmpa1b2c3d4", folder / ("g" * 64), folder / ("A" * 64),
+              folder / "5023-ABCDEF01-5000"]
     for other in others:
         other.write_bytes(bytes(20000))
         os.utime(other, ns=(0, 0))
+    sha256_named = folder / ("0f" * 32)
+    sha256_named.write_bytes(bytes(100))
+    os.utime(sha256_named, ns=(0, 0))
     _gz_file(tmp_path / "0.gz", seed=0)
     _gz_file(tmp_path / "1.gz", seed=1)
-    _, second = _stored(cache, tmp_path / "0.gz", tmp_path / "1.gz", mtimes=(1,))
-    assert sorted(folder.iterdir()) == sorted([second, *others])
+    # the two entries fill the cap, so the sha256 one alone puts it past
+    monkeypatch.setattr(data, "_CACHE_BYTES", 2 * _entry_size(tmp_path / "0.gz"))
+    first, = _stored(cache, tmp_path / "0.gz", mtimes=(1,))
+    assert sha256_named.exists()
+    second, = _stored(cache, tmp_path / "1.gz")
+    assert sorted(folder.iterdir()) == sorted([first, second, *others])
 
 
 @pytest.mark.parametrize("call", ["unlink", "scandir", "utime"])
