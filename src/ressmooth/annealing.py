@@ -8,7 +8,7 @@ progress `mu`; `off` returns 0. A fixed scale is `local_scale`, in mode `local`.
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 KINDS = ("laplace", "logistic", "off")
 
@@ -43,8 +43,6 @@ def laplace_pdf_scaled(t: float, mu: float, b: float) -> float:
 
 def scale_at(schedule: AnnealSchedule, progress: float) -> float:
     """Scale s at normalized training progress; always lands in [0, 1]."""
-    if not 0.0 <= progress <= 1.0:
-        raise InputError(f"progress must be in [0, 1], got {progress}")
     if schedule.kind == "off":
         return 0.0
     if schedule.kind == "laplace":

@@ -265,8 +265,6 @@ def take_uniform(dataset: Dataset, count: int, rng: np.random.Generator) -> Data
 def batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):
     """One epoch: a fresh uniform shuffle cut into consecutive index batches;
     the final short batch is kept."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     perm = rng.permutation(dataset.n)
     for start in range(0, dataset.n, batch_size):
         yield perm[start:start + batch_size]

@@ -97,6 +97,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
     train_ds, test_ds = dataset_pair
     if train_ds.n == 0:
         raise InputError("empty training split")
+    if test_ds.n == 0:
+        raise InputError("empty test split")
     if (shapes := [(ds.feature_count, ds.class_count) for ds in dataset_pair])[0] != shapes[1]:
         raise ShapeError(f"test split (features, classes) {shapes[1]} != train split {shapes[0]}")
 

@@ -173,8 +173,6 @@ def make_optimizer(config, network: Network):
 
 def label_smooth(target_onehot: np.ndarray, epsilon: float) -> np.ndarray:
     """(1 - eps) * y + eps / M, rows keep summing to 1."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigError(f"epsilon must be in [0, 1), got {epsilon}")
     target_onehot = np.asarray(target_onehot, dtype=np.float64)
     m = target_onehot.shape[-1]
     return (1.0 - epsilon) * target_onehot + epsilon / m

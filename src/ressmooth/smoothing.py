@@ -44,10 +44,6 @@ class SmoothingConfig:
 
 def sigmoid_scale(x, s: float, alpha: float) -> np.ndarray:
     """s / (1 + exp(-alpha * x)), elementwise and overflow-safe."""
-    if not 0.0 <= s <= 1.0:
-        raise ConfigError(f"scale s must be in [0, 1], got {s}")
-    if not alpha >= 0.0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
     z = np.multiply(alpha, x, out=np.empty(np.shape(x)))  # an array even for a scalar x
     # s * exp(min(z, 0)) / (1 + exp(-|z|)) with one exp: exp(min(z, 0)) is
     # exp(-|z|) where z < 0 and 1 elsewhere, bitwise; neither overflows
@@ -86,8 +82,6 @@ def sigmoid_args(cfg: SmoothingConfig, s_t: float):
 def batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig) -> np.ndarray:
     """Diffusivity rows for a batch of raw residual rows at the mode's (scale, alpha):
     scale 0 is zeros, and alpha 0 the sigmoid of anything finite, scale / 2."""
-    if not 0.0 <= s_t <= 1.0:
-        raise ConfigError(f"s_t must be in [0, 1], got {s_t}")
     scale, alpha = sigmoid_args(cfg, s_t)
     if scale == 0.0:
         return np.zeros_like(d_rows)

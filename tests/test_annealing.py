@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ressmooth.annealing import AnnealSchedule, laplace_pdf_scaled, logistic_pdf_scaled, scale_at
-from ressmooth.errors import ConfigError, InputError
+from ressmooth.annealing import (KINDS, AnnealSchedule, laplace_pdf_scaled, logistic_pdf_scaled,
+                                 scale_at)
+from ressmooth.errors import ConfigError
 
 
 def sech2(z):
@@ -46,14 +49,6 @@ def test_scale_at_kinds():
     assert got == pytest.approx(sech2(1.0), abs=1e-9)
 
 
-def test_scale_at_rejects_bad_progress():
-    sched = AnnealSchedule(kind="laplace")
-    with pytest.raises(InputError):
-        scale_at(sched, -0.01)
-    with pytest.raises(InputError):
-        scale_at(sched, 1.01)
-
-
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         AnnealSchedule(kind="cosine")
@@ -63,14 +58,14 @@ def test_schedule_validation():
         AnnealSchedule(kind="laplace", mu=1.5)
 
 
-def test_scale_stays_in_unit_interval():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        kind = rng.choice(["laplace", "logistic"])
-        sched = AnnealSchedule(kind=str(kind), mu=float(rng.uniform(0, 1)),
-                               b=float(rng.uniform(0.05, 2.0)))
-        value = scale_at(sched, float(rng.uniform(0, 1)))
-        assert 0.0 <= value <= 1.0
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS), mu=st.floats(0.0, 1.0), b=st.floats(1e-300, 1e300),
+       progress=st.floats(0.0, 1.0))
+def test_scale_stays_in_unit_interval(kind, mu, b, progress):
+    # the step takes s_t as given, so every schedule the config admits must
+    # keep it in [0, 1] at every progress the loop hands it
+    value = scale_at(AnnealSchedule(kind=kind, mu=mu, b=b), progress)
+    assert 0.0 <= value <= 1.0  # false for NaN too
 
 
 def test_peak_location_on_grid():

@@ -236,6 +236,21 @@ def test_a_test_split_that_does_not_fit_the_network_exits_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_an_empty_test_split_exits_before_training(
+        tiny_corpus, tmp_path, capsys, monkeypatch, command):
+    write_idx_pair(np.zeros((0, 8, 8)), np.zeros(0), tmp_path / "vi.gz", tmp_path / "vl.gz")
+
+    def forward_batch(*args):
+        raise AssertionError("trained before the splits were checked")
+
+    monkeypatch.setattr(nn, "forward_batch", forward_batch)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tiny_corpus), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: empty test split\n"
+    assert not out.exists()
+
+
 def test_bad_config_exits_nonzero(tiny_corpus, capsys):
     good = tiny_corpus.read_text()
     for old, new, message in [

@@ -50,6 +50,9 @@ trials = 5
 base_seed = 3
 """
 
+# GOOD without residual smoothing, so label smoothing is only bounded by its range
+PLAIN = replace(parse_config_text(GOOD), smoothing=SmoothingConfig())
+
 
 def test_parse_full_config():
     cfg = parse_config_text(GOOD)
@@ -153,9 +156,15 @@ def test_an_integer_past_float_range_parses():
                         subsample_ratio=0.0),
     lambda: DatasetSpec(kind="cifar10", train_files=("a",), test_files=("b",),
                         subsample_ratio=1.5),
+    # the run's own bounds, checked here and nowhere on the step path
+    lambda: replace(PLAIN, batch_size=0),
+    lambda: replace(PLAIN, label_smoothing=1.0),
+    lambda: replace(PLAIN, label_smoothing=-0.1),
+    lambda: replace(PLAIN, label_smoothing=NAN),
 ], ids=["b", "alpha", "local_scale", "weight_decay", "lr_low", "adam_lr",
         "adam_eps", "adagrad_lr", "adagrad_eps", "subsample_ratio", "subsample_ratio_0",
-        "subsample_ratio_1.5"])
+        "subsample_ratio_1.5", "batch_size_0", "label_smoothing_1", "label_smoothing_-0.1",
+        "label_smoothing"])
 def test_nan_fails_the_dataclass_checks(make):
     with pytest.raises(ConfigError):
         make()

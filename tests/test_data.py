@@ -577,11 +577,6 @@ def test_batches_deterministic():
         assert np.array_equal(x, y)
 
 
-def test_batches_validation():
-    with pytest.raises(ConfigError):
-        list(batches(small_dataset(), 0, np.random.default_rng(0)))
-
-
 # --- augmentation ------------------------------------------------------------------
 
 class ScriptedRng:

@@ -366,6 +366,21 @@ def test_train_rejects_empty_split(make_blobs):
         train(blob_config(), 0, (empty, blob_pair(make_blobs)[1]))
 
 
+def test_train_rejects_an_empty_test_split_before_any_step(make_blobs, monkeypatch):
+    train_ds, test_ds = blob_pair(make_blobs)
+    empty = dataclasses.replace(test_ds, inputs=test_ds.inputs[:0], labels=test_ds.labels[:0])
+    steps = []
+
+    class Counter:
+        def step(self, *args):
+            steps.append(args)
+
+    monkeypatch.setattr(optim, "make_optimizer", lambda config, network: Counter())
+    with pytest.raises(InputError, match="^empty test split$"):
+        train(blob_config(), 0, (train_ds, empty))
+    assert steps == []
+
+
 def _same_network(net_a, net_b):
     return net_a.params.tobytes() == net_b.params.tobytes()
 

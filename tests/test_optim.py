@@ -296,13 +296,6 @@ def test_label_smooth_rows_sum_to_one():
     assert np.max(np.abs(got.sum(axis=1) - 1.0)) < 1e-12
 
 
-def test_label_smooth_epsilon_validation():
-    with pytest.raises(ConfigError):
-        label_smooth(np.eye(3)[0], 1.0)
-    with pytest.raises(ConfigError):
-        label_smooth(np.eye(3)[0], -0.1)
-
-
 def test_sgd_config_validation():
     with pytest.raises(ConfigError):
         SgdConfig(lr_high=0.001, lr_low=0.1)

@@ -78,6 +78,28 @@ def test_the_run_layers_name_no_mode_or_schedule_kind():
     assert named == set()
 
 
+STEP_PATH = {
+    "smoothing": ("sigmoid_scale", "batch_normalize", "sigmoid_args", "batch_diffusivity",
+                  "batch_smoothed_loss_grad"),
+    "annealing": ("scale_at", "laplace_pdf_scaled", "logistic_pdf_scaled"),
+    "data": ("batches", "features"),
+    "optim": ("lr_at", "label_smooth"),
+}
+
+
+def test_the_step_path_checks_no_bounded_value_again():
+    # each setting's range is checked once, when its config object is built;
+    # the functions a training step calls take their bounded arguments as given
+    found = {}
+    for module, names in STEP_PATH.items():
+        for node in parse(module).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                found[f"{module}.{node.name}"] = [
+                    inner.lineno for inner in ast.walk(node) if isinstance(inner, ast.Raise)]
+    assert len(found) == sum(map(len, STEP_PATH.values()))  # every name still exists
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_the_cli_holds_no_run_setting_of_its_own():
     # an omitted flag falls back to the config; only the output directory has a default
     for command in ("train", "grid"):

@@ -18,13 +18,15 @@ CENTERS = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 class Recorder:
     """An optimizer that keeps a copy of each step's gradient and progress
-    and updates nothing, so every step sees the initial parameters."""
+    and updates nothing, so every step sees the initial parameters. The
+    schedules take progress as given: the loop must keep it in [0, 1)."""
 
     def __init__(self, network):
         self.network = network
         self.steps = []
 
     def step(self, network, grads, progress):
+        assert 0.0 <= progress < 1.0
         self.steps.append((grads.copy(), progress))
 
 
@@ -74,6 +76,7 @@ def test_each_step_hands_the_optimizer_the_smoothed_loss_gradient(
     (recorder,) = recorders
     assert [idx.size for idx in rows] == [16, 16, 13]  # 45 rows: a short final batch
     assert len(recorder.steps) == len(rows)
+    assert recorder.steps[-1][1] == (len(rows) - 1) / len(rows)  # (T - 1) / T
     network = recorder.network
     m = train_ds.class_count
     for idx, (grads, progress) in zip(rows, recorder.steps):
