@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-KINDS = ("laplace", "logistic", "off")
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -41,10 +39,12 @@ def laplace_pdf_scaled(t: float, mu: float, b: float) -> float:
     return math.exp(-abs(t - mu) / b)
 
 
+# schedule kind -> its density, called by name so a wrapper set on this module (a tracer's) runs
+DENSITIES = {"laplace": laplace_pdf_scaled, "logistic": logistic_pdf_scaled}
+KINDS = (*DENSITIES, "off")
+
+
 def scale_at(schedule: AnnealSchedule, progress: float) -> float:
     """Scale s at normalized training progress; always lands in [0, 1]."""
-    if schedule.kind == "off":
-        return 0.0
-    if schedule.kind == "laplace":
-        return laplace_pdf_scaled(progress, schedule.mu, schedule.b)
-    return logistic_pdf_scaled(progress, schedule.mu, schedule.b)
+    density = DENSITIES.get(schedule.kind)
+    return globals()[density.__name__](progress, schedule.mu, schedule.b) if density else 0.0

@@ -37,18 +37,22 @@ def build_parser():
 
 
 def _load_config(args):
+    """The config after the flags' overrides, and the output directory, refused before any work
+    when it or a directory above it is an existing file."""
+    out = Path(args.out_dir)
+    if file := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None):
+        raise ConfigError(f"--out-dir {out}: {file} is not a directory")
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     if args.trials is not None:
         config = dataclasses.replace(config, trials=args.trials)
-    return config
+    return config, out
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
+    config, out = _load_config(args)
     aggregate = harness.run_trials(config)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for row, metrics, network in zip(aggregate.rows, aggregate.metrics, aggregate.networks):
         harness.write_metrics_csv(metrics, out / f"metrics_trial{row.trial}.csv")
@@ -61,13 +65,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    config = _load_config(args)
+    config, out = _load_config(args)
     b_values = ((config.schedule.b,) if args.b_grid is None
                 else float_list(args.b_grid, "--b-grid", None))
     alpha_values = ((config.smoothing.alpha,) if args.alpha_grid is None
                     else float_list(args.alpha_grid, "--alpha-grid", None))
     rows, (b, alpha, mean_max_val_acc) = harness.grid_search(config, b_values, alpha_values)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_aggregate_csv(rows, out / "grid.csv")
     print(f"grid points: {len(b_values) * len(alpha_values)}")
@@ -90,11 +93,7 @@ def _cmd_eval(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        return _cmd_eval(args)
+        return {"train": _cmd_train, "grid": _cmd_grid, "eval": _cmd_eval}[args.command](args)
     except (ConfigError, FormatError, InputError, ShapeError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

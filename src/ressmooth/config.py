@@ -12,14 +12,15 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .annealing import AnnealSchedule
+from .data import load_cifar10_bin, load_idx
 from .errors import ConfigError
 from .optim import OPTIMIZERS
 from .smoothing import SmoothingConfig
 
-# dataset kind -> the file keys it needs, in its loader's argument order;
-# the other kind's keys are an error
-DATASET_FILES = {"fashion_mnist": ("train_images", "train_labels", "test_images", "test_labels"),
-                 "cifar10": ("train_files", "test_files")}
+# dataset kind -> (its loader, the file keys it takes, in order); another kind's keys are an error
+DATASETS = {"fashion_mnist": (load_idx, ("train_images", "train_labels", "test_images",
+                                         "test_labels")),
+            "cifar10": (load_cifar10_bin, ("train_files", "test_files"))}
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,12 @@ class DatasetSpec:
     augment: bool = False
 
     def __post_init__(self):
-        if self.kind not in DATASET_FILES:
+        if self.kind not in DATASETS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        missing = [k for k in DATASET_FILES[self.kind] if not getattr(self, k)]
+        missing = [k for k in DATASETS[self.kind][1] if not getattr(self, k)]
         if missing:
             raise ConfigError(f"dataset kind {self.kind} needs {', '.join(missing)}")
-        stray = [k for kind, keys in DATASET_FILES.items() if kind != self.kind
+        stray = [k for kind, (_, keys) in DATASETS.items() if kind != self.kind
                  for k in keys if getattr(self, k)]
         if stray:
             raise ConfigError(f"key {stray[0]!r} does not apply to dataset kind {self.kind!r}")
@@ -153,7 +154,7 @@ _SECTIONS = {DatasetSpec: "dataset", ModelSpec: "model",
 _KEY_OF = {(AnnealSchedule, "kind"): ("regularizer", "schedule"),
            (ExperimentConfig, "label_smoothing"): ("regularizer", "label_smoothing")}
 _SPECIAL = {**{(DatasetSpec, name): _list(_path) if kind == "cifar10" else _path
-               for kind, names in DATASET_FILES.items() for name in names},
+               for kind, (_, names) in DATASETS.items() for name in names},
             (ModelSpec, "hidden"): _list(_int)}
 
 
@@ -221,7 +222,7 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a config file; relative dataset paths resolve against its directory."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, base_dir=path.parent)

@@ -21,7 +21,7 @@ import numpy as np
 from . import data as data_mod
 from . import nn, optim, smoothing
 from .annealing import scale_at
-from .config import DATASET_FILES, DatasetSpec, ExperimentConfig
+from .config import DATASETS, DatasetSpec, ExperimentConfig
 from .errors import ConfigError, InputError, ShapeError, TrainingError
 
 _EVAL_CHUNK = 1024  # rows per product; fixed, as a row's bits depend on its product's row count
@@ -67,10 +67,10 @@ class TrialAggregate:
 
 
 def load_split(ds: DatasetSpec, split: str) -> data_mod.Dataset:
-    """The configured dataset's "train" or "test" split as uint8 codes."""
-    files = [getattr(ds, key) for key in DATASET_FILES[ds.kind] if key.startswith(split)]
-    load = data_mod.load_cifar10_bin if ds.kind == "cifar10" else data_mod.load_idx
-    return load(*files, split)
+    """The "train" or "test" split as uint8 codes; the loader is called by name, as a density is."""
+    loader, keys = DATASETS[ds.kind]
+    files = [getattr(ds, key) for key in keys if key.startswith(split)]
+    return getattr(data_mod, loader.__name__)(*files, split)
 
 
 def prepare_data(config: ExperimentConfig):

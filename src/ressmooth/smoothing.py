@@ -80,12 +80,10 @@ def sigmoid_args(cfg: SmoothingConfig, s_t: float):
 
 
 def batch_diffusivity(d_rows: np.ndarray, s_t: float, cfg: SmoothingConfig) -> np.ndarray:
-    """Diffusivity rows for a batch of raw residual rows at the mode's (scale, alpha):
-    scale 0 is zeros, and alpha 0 the sigmoid of anything finite, scale / 2."""
+    """Diffusivity rows for a batch of raw residual rows at the mode's (scale, alpha): at scale 0
+    or alpha 0, the constant scale / 2, which is the sigmoid of anything finite at either."""
     scale, alpha = sigmoid_args(cfg, s_t)
-    if scale == 0.0:
-        return np.zeros_like(d_rows)
-    if alpha == 0.0:
+    if scale == 0.0 or alpha == 0.0:
         return np.full_like(d_rows, scale / 2.0)
     return sigmoid_scale(batch_normalize(d_rows), scale, alpha)
 

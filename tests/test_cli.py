@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
-from ressmooth import nn
+from ressmooth import data, nn
 from ressmooth.cli import main
 
 
@@ -249,6 +249,33 @@ def test_an_empty_test_split_exits_before_training(
     assert main([command, "--config", str(tiny_corpus), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "error: empty test split\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["the-file", "below-the-file"])
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_an_out_dir_at_or_below_a_file_exits_before_the_corpus_is_read(
+        tiny_corpus, tmp_path, capsys, monkeypatch, command, below):
+    def refuse(*args):
+        raise AssertionError("read or trained before --out-dir was checked")
+
+    monkeypatch.setattr(data, "load_idx", refuse)
+    monkeypatch.setattr(nn, "forward_batch", refuse)
+    file = tmp_path / "taken"
+    file.write_bytes(b"not a directory")
+    out = file / below  # "" leaves the path as it is
+    assert main([command, "--config", str(tiny_corpus), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out-dir {out}: {file} is not a directory\n"
+    assert file.read_bytes() == b"not a directory"
+
+
+def test_a_config_that_is_not_utf8_exits_with_one_line(tiny_corpus, capsys):
+    blob = tiny_corpus.read_bytes()
+    at = blob.index(b"[model]")
+    tiny_corpus.write_bytes(blob[:at] + b"\xff" + blob[at:])
+    assert main(["train", "--config", str(tiny_corpus)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read config {tiny_corpus}: 'utf-8' codec can't decode byte 0xff "
+        f"in position {at}: invalid start byte\n")
 
 
 def test_bad_config_exits_nonzero(tiny_corpus, capsys):

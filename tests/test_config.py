@@ -3,7 +3,7 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ressmooth.annealing import AnnealSchedule
@@ -407,3 +407,33 @@ def test_cifar_requires_file_lists():
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config("/nonexistent/exp.ini")
+
+
+def test_a_config_that_is_not_utf8_names_the_file_and_the_byte(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(GOOD.encode().replace(b"take = 10000", b"take = 10\xff00"))
+    at = path.read_bytes().index(b"\xff")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"cannot read config {path}: 'utf-8' codec can't decode byte 0xff in position {at}")):
+        parse_config(path)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(at=st.integers(0, len(GOOD)), dropped=st.integers(0, 8), inserted=st.binary(max_size=8))
+@example(at=0, dropped=0, inserted=b"\xff")
+@example(at=len(GOOD), dropped=0, inserted=b"\xc3")  # a multi-byte character cut short
+def test_damaged_config_bytes_parse_or_raise_config_error(config_dir, at, dropped, inserted):
+    """A valid config file with bytes dropped and inserted at one place: the parser returns
+    a config or raises ConfigError, and nothing else escapes."""
+    blob = GOOD.encode()
+    path = config_dir / "exp.ini"
+    path.write_bytes(blob[:at] + inserted + blob[at + dropped:])
+    try:
+        assert isinstance(parse_config(path), ExperimentConfig)
+    except ConfigError:
+        pass

@@ -516,8 +516,9 @@ def test_a_one_file_cifar_load_does_not_copy_its_records(tmp_path, name):
 
 
 def test_a_one_member_gzip_load_peaks_near_its_decoded_size(tmp_path, cache):
-    """Cold (inflate, hash, store) and warm (hash, read the entry): beyond the
-    decoded buffer, only a few pieces of the file are held at once."""
+    """Cold (inflate, store) and warm (compare the entry's copy with the file, read
+    the decoded part, check its CRC-32): beyond the decoded buffer, only a few
+    pieces of the file are held at once."""
     payload = _gz_file(tmp_path / "f.gz", size=5 << 20)
     for load in ("cold", "warm"):
         tracemalloc.start()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import net_of, read_csv, write_idx_pair
-from ressmooth import harness, nn, optim
+from ressmooth import data, harness, nn, optim
 from ressmooth.annealing import KINDS, AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.data import features, load_cifar10_bin, load_idx, take_uniform
@@ -715,3 +715,19 @@ def test_aggregate_csv_schema(tmp_path, make_blobs):
         assert len(rows) == 2
         assert [tuple(row[:2]) for row in rows] == [columns] * 2, (mode, kind, local_scale)
         assert rows[0][2] == "0" and rows[1][2] == "1"
+
+
+@pytest.mark.parametrize("dataset, split, loader, files", [
+    (DatasetSpec(kind="fashion_mnist", train_images="ti", train_labels="tl", test_images="vi",
+                 test_labels="vl"), "test", "load_idx", ("vi", "vl")),
+    (DatasetSpec(kind="cifar10", train_files=("t1", "t2"), test_files=("v",)), "train",
+     "load_cifar10_bin", (("t1", "t2"),))], ids=["fashion_mnist", "cifar10"])
+def test_load_split_calls_the_loader_data_holds_with_its_files(monkeypatch, dataset, split,
+                                                                loader, files):
+    """The loader is looked up in `data` at the call, so a wrapper set there (the
+    benchmark's span tracer) runs; it gets the split's file keys in DATASETS order."""
+    calls = []
+    for name in ("load_idx", "load_cifar10_bin"):
+        monkeypatch.setattr(data, name, lambda *args, name=name: calls.append((name, args)))
+    harness.load_split(dataset, split)
+    assert calls == [(loader, (*files, split))]

@@ -4,6 +4,7 @@ from pathlib import Path
 import ressmooth
 from ressmooth import cli
 from ressmooth.annealing import KINDS
+from ressmooth.config import DATASETS
 from ressmooth.smoothing import MODES
 
 PACKAGE = Path(ressmooth.__file__).parent
@@ -75,6 +76,15 @@ def test_the_run_layers_name_no_mode_or_schedule_kind():
     named = {f"{module}.py:{node.lineno} {node.value!r}" for module in ("harness", "cli")
              for node in ast.walk(parse(module))
              if isinstance(node, ast.Constant) and node.value in (*MODES, *KINDS)}
+    assert named == set()
+
+
+def test_the_run_layers_name_no_dataset_kind():
+    # which loader reads a dataset kind, and which file keys it takes, is decided in
+    # `config.DATASETS`; a kind's name in these layers would decide it again
+    named = {f"{module}.py:{node.lineno} {node.value!r}" for module in ("harness", "cli")
+             for node in ast.walk(parse(module))
+             if isinstance(node, ast.Constant) and node.value in DATASETS}
     assert named == set()
 
 

@@ -11,7 +11,7 @@ import pytest
 from ressmooth import smoothing
 from ressmooth.annealing import AnnealSchedule
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
-from ressmooth.harness import train
+from ressmooth.harness import train, write_metrics_csv
 from ressmooth.optim import AdamConfig, SgdConfig
 from ressmooth.smoothing import SmoothingConfig, batch_diffusivity, batch_smoothed_loss_grad
 
@@ -73,6 +73,8 @@ FAST_PATHS = [  # (config, s_t, the constant kappa)
     pytest.param(SmoothingConfig(mode="global_local", alpha=1.5), 0.0, 0.0, id="s_t-0"),
     pytest.param(SmoothingConfig(mode="local", alpha=1.5, local_scale=0.0), 0.7, 0.0,
                  id="local_scale-0"),
+    pytest.param(SmoothingConfig(mode="local", alpha=1.5, local_scale=-0.0), 0.7, -0.0,
+                 id="local_scale--0"),
     pytest.param(SmoothingConfig(mode="local", alpha=0.0, local_scale=0.9), 0.7, 0.45,
                  id="local-alpha-0"),
     pytest.param(SmoothingConfig(mode="global_local", alpha=0.0), 0.7, 0.35,
@@ -106,3 +108,20 @@ def test_a_nan_prediction_row_gives_a_nan_loss_on_every_path(cfg, s_t, kappa):
             cfg, n_steps=2))
     assert np.isnan(loss[2])
     assert np.all(np.isfinite(np.delete(loss, 2)))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_local_scale_of_minus_zero_trains_like_plus_zero(blobs, tmp_path, optimizer):
+    """local_scale = -0 passes the [0, 1] check and its kappa is the constant -0.0
+    (scale / 2), which smooths nothing: the network is +0's bit for bit, and mean_kappa
+    is +0.0, as the kappa sum starts at +0.0. The logged s_t keeps the sign."""
+    schedule = AnnealSchedule(kind="laplace", b=0.3)
+    minus = SmoothingConfig(mode="local", alpha=1.5, local_scale=-0.0)
+    network, metrics = train(_config(optimizer, minus, schedule), 7, blobs)
+    plus, _ = train(_config(optimizer, dataclasses.replace(minus, local_scale=0.0), schedule),
+                    7, blobs)
+    assert network.params.tobytes() == plus.params.tobytes()
+    assert [np.float64(m.mean_kappa).tobytes() for m in metrics] == [np.float64(0.0).tobytes()] * 3
+    write_metrics_csv(metrics, tmp_path / "metrics.csv")
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-2:] for row in rows] == [["-0.000000", "0.000000"]] * 3
