@@ -14,6 +14,7 @@ from pathlib import Path
 from .annealing import AnnealSchedule
 from .data import load_cifar10_bin, load_idx
 from .errors import ConfigError
+from .nn import OUTPUT_ACTIVATIONS
 from .optim import OPTIMIZERS
 from .smoothing import SmoothingConfig
 
@@ -65,8 +66,8 @@ class ModelSpec:
     def __post_init__(self):
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.output_activation not in ("softmax", "identity"):
-            raise ConfigError(f"output_activation must be softmax or identity, "
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ConfigError(f"output_activation must be {' or '.join(OUTPUT_ACTIVATIONS)}, "
                               f"got {self.output_activation!r}")
 
 

@@ -48,20 +48,20 @@ _CACHE_BYTES = 1 << 30
 @dataclass
 class Dataset:
     inputs: np.ndarray  # [n, N] uint8 pixel codes, scaled per batch by `features`,
-    #                     or float features, checked finite here
+    #                     or float features of at most 64 bits, checked finite here
     labels: np.ndarray  # [n] int64
     class_count: int
     split: str = "train"
 
     def __post_init__(self):
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ShapeError(f"{self.inputs.shape[0]} inputs vs {self.labels.shape[0]} labels")
+        if self.inputs.ndim != 2 or self.inputs.shape[0] != self.labels.shape[0]:
+            raise ShapeError(f"inputs of shape {self.inputs.shape}, not [{len(self.labels)}, N]")
         if self.labels.size and (int(self.labels.min()) < 0
                                  or int(self.labels.max()) >= self.class_count):
             raise InputError("label out of range")
-        if self.inputs.dtype != np.uint8 and self.inputs.dtype.kind != "f":
+        if self.inputs.dtype.str[1:] not in ("u1", "f2", "f4", "f8"):  # any byte order
             raise InputError(f"{self.split} split holds {self.inputs.dtype} inputs, "
-                             "neither uint8 pixel codes nor float features")
+                             "neither uint8 pixel codes nor float features of at most 64 bits")
         if self.inputs.dtype.kind == "f" and not np.all(np.isfinite(self.inputs)):
             raise InputError(f"non-finite input in the {self.split} split")
 
@@ -230,7 +230,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
 
 
 def load_cifar10_bin(paths, split: str = "train") -> Dataset:
-    """Load and concatenate CIFAR-10 binary batch files, in the given order,
+    """Load and concatenate one or more CIFAR-10 binary batch files, in order,
     as uint8 codes: the inputs are a view of the records past the label byte."""
     parts = []
     for path in paths:
@@ -243,8 +243,7 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
             raise FormatError(f"{path}: label {part[bad[0], 0]} exceeds 9 "
                               f"at offset {bad[0] * CIFAR_RECORD_BYTES}")
         parts.append(part)
-    records = parts[0] if len(parts) == 1 else np.concatenate(
-        parts or [np.zeros((0, CIFAR_RECORD_BYTES), np.uint8)])
+    records = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return Dataset(records[:, 1:], records[:, 0].astype(np.int64), 10, split)
 
 
@@ -277,8 +276,6 @@ def augment_batch(xb: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Rows are [B, 3072] channel-planes-first, as in the binary layout. Each row
     draws its y offset, x offset and flip, in that order; offsets (4, 4)
     without flip reproduce the row exactly."""
-    if xb.ndim != 2 or xb.shape[1] != 3 * 32 * 32:
-        raise ShapeError(f"expected [B, 3072] CIFAR rows, got {xb.shape}")
     b = xb.shape[0]
     padded = np.zeros((b, 3, 40, 40), xb.dtype)
     padded[:, :, 4:36, 4:36] = xb.reshape(b, 3, 32, 32)

@@ -5,9 +5,9 @@ layer's activation, each computed in place over that layer's logits, and
 through them; a relu's mask comes from its activation (a > 0 exactly where
 z > 0).
 
-`forward_batch`/`backward_batch` work on a whole [B, N] mini-batch with
-matrix products; batch gradients are summed over the batch. The per-sample
-reference passes they are tested against live in the tests (`oracles.py`).
+`forward_batch`/`backward_batch` take a whole [B, N] mini-batch as given:
+shapes and dtypes are checked where arrays enter (see `forward_batch`). The
+per-sample reference passes they are tested against are in `oracles.py`.
 
 Checkpoint format (little-endian): magic b"RSM1", uint32 layer count, then
 per layer uint32 out_dim, uint32 in_dim, the row-major float64 weight buffer
@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 
-ACTIVATIONS = ("relu", "softmax", "identity")
+OUTPUT_ACTIVATIONS = ("softmax", "identity")
+ACTIVATIONS = ("relu", *OUTPUT_ACTIVATIONS)
 CHECKPOINT_MAGIC = b"RSM1"
 
 
@@ -73,11 +74,8 @@ def forward_batch(network: Network, xb: np.ndarray) -> list:
     the prediction last. Each layer's activation is computed in place over
     its logits, so no logits are kept.
 
-    Inputs are not checked for finiteness here: they come from a `Dataset`,
-    which validates its float inputs once when it is built."""
-    xb = np.asarray(xb, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != network.dims[0]:
-        raise ShapeError(f"expected [B, {network.dims[0]}] inputs, got {xb.shape}")
+    Inputs are taken as given: a `Dataset` checks their shape, dtype and values,
+    and the split check or `load_parameters` fits the network to their width."""
     acts = [xb]
     for w, b, act in zip(network.weights, network.biases, network.activations):
         z = acts[-1] @ w.T
@@ -101,9 +99,6 @@ def backward_batch(network: Network, acts: list, dl_dout: np.ndarray,
     it. The training loop passes the same vector every step, so the next call
     overwrites it, and Adam and AdaGrad consume it: they leave their update
     there."""
-    dl_dout = np.asarray(dl_dout, dtype=np.float64)
-    if dl_dout.shape != acts[-1].shape:
-        raise ShapeError(f"expected output gradient of shape {acts[-1].shape}")
     grads_w, grads_b = network.views(grads)
     delta = dl_dout
     for i in reversed(range(len(network.weights))):

@@ -173,6 +173,5 @@ def make_optimizer(config, network: Network):
 
 def label_smooth(target_onehot: np.ndarray, epsilon: float) -> np.ndarray:
     """(1 - eps) * y + eps / M, rows keep summing to 1."""
-    target_onehot = np.asarray(target_onehot, dtype=np.float64)
     m = target_onehot.shape[-1]
     return (1.0 - epsilon) * target_onehot + epsilon / m

@@ -63,6 +63,48 @@ def test_summary_counts_strict_wins_and_carries_src_lines(tmp_path, monkeypatch)
     assert all(p["outputs_identical"] for p in pairs)
 
 
+# per case, a metric and each side's values in pairs 1-4 (BENCHMARK.json bounds: run_s 0.25
+# relative, lower better; val_acc_max 0.08 relative, higher better)
+VERDICTS = {
+    # 80 is 11% under the parent's 90
+    "worse": ("val_acc_max", [90.0, 90.0, 90.0, 90.0], [80.0, 80.0, 80.0, 80.0]),
+    # the parent's quartiles 1.75 and 3.25 span 60% of its median 2.5; the change's
+    # 2.5 beats only two parent runs
+    "unresolved": ("run_s", [1.0, 2.0, 3.0, 4.0], [2.5, 2.5, 2.5, 2.5]),
+    # 4 of 4 pairs won, by 0.5 against a parent spread of 0
+    "gain": ("run_s", [2.0, 2.0, 2.0, 2.0], [1.5, 1.5, 1.5, 1.5]),
+    # 3 of 4 pairs won falls short of 9 in 10, and the medians are 5% apart
+    "same": ("run_s", [2.0, 2.0, 2.0, 2.0], [1.9, 1.9, 1.9, 2.2]),
+}
+
+
+@pytest.mark.parametrize("case", VERDICTS)
+def test_each_end_to_end_metric_gets_a_verdict_from_its_bound(tmp_path, monkeypatch, case):
+    name, parent, change = VERDICTS[case]
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+    values = {"parent": [0.0, *parent], "change": [0.0, *change]}  # a warm-up run first
+    calls = {"parent": 0, "change": 0}
+
+    def run_once(checkout, workload, seed, seconds, trace, size):
+        side = "parent" if checkout == sides["parent"].resolve() else "change"
+        k = calls[side]
+        calls[side] += 1
+        return {"facts": {"src_lines": 1, "outputs_sha256": {"a": "0"}},
+                "metrics": {name: values[side][k], "optim.step.calls": 1.0}, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workloads", "many_class", "--pairs", "4",
+                             "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]["many_class-seed17"]
+    assert summary[name]["verdict"] == case
+    assert "verdict" not in summary["optim.step.calls"]  # a per-layer metric has no bound
+
+
 def test_summary_counts_identical_outputs_and_failed_trials(tmp_path, monkeypatch):
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for path in sides.values():

@@ -421,6 +421,34 @@ def test_training_on_codes_equals_training_on_scaled_features(make_blobs):
     assert _same_network(net_codes, net_features)
 
 
+def test_a_float32_split_writes_the_bytes_of_its_float64_copy(tmp_path):
+    """Matmul widens float32 features to float64 exactly, so a float32 pair
+    trains, evaluates and writes its checkpoint and metrics CSV bit for bit
+    like its float64 copy. The run is shaped like the many_class benchmark:
+    64 features, 100 classes, 128 hidden units, Adam, global_local at n_steps 3."""
+    rng = np.random.default_rng(24)
+    centres = rng.uniform(0.2, 0.8, size=(100, 64))
+
+    def split(n, name):
+        labels = rng.integers(0, 100, size=n)
+        x = np.clip(centres[labels] + rng.normal(0.0, 0.12, size=(n, 64)), 0.0, 1.0)
+        return data.Dataset(x.astype(np.float32), labels, 100, name)
+
+    pair32 = (split(300, "train"), split(100, "test"))
+    pair64 = tuple(dataclasses.replace(ds, inputs=ds.inputs.astype(np.float64)) for ds in pair32)
+    cfg = dataclasses.replace(
+        blob_config(epochs=2, schedule_kind="laplace", hidden=(128,), batch_size=128,
+                    optimizer=optim.AdamConfig()),
+        smoothing=SmoothingConfig(mode="global_local", alpha=1.0, n_steps=3))
+    written = []
+    for k, pair in enumerate((pair32, pair64)):
+        network, metrics = train(cfg, 0, pair)
+        nn.save_checkpoint(network, tmp_path / f"{k}.rsm")
+        write_metrics_csv(metrics, tmp_path / f"{k}.csv")
+        written.append([(tmp_path / f"{k}{ext}").read_bytes() for ext in (".rsm", ".csv")])
+    assert pair32[0].inputs.dtype == np.float32 and written[0] == written[1]
+
+
 # --- evaluation ------------------------------------------------------------------
 
 def test_evaluate_perfect_network(make_blobs):

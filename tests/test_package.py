@@ -92,14 +92,16 @@ STEP_PATH = {
     "smoothing": ("sigmoid_scale", "batch_normalize", "sigmoid_args", "batch_diffusivity",
                   "batch_smoothed_loss_grad"),
     "annealing": ("scale_at", "laplace_pdf_scaled", "logistic_pdf_scaled"),
-    "data": ("batches", "features"),
+    "data": ("batches", "features", "augment_batch"),
     "optim": ("lr_at", "label_smooth"),
+    "nn": ("forward_batch", "backward_batch"),
 }
 
 
 def test_the_step_path_checks_no_bounded_value_again():
-    # each setting's range is checked once, when its config object is built;
-    # the functions a training step calls take their bounded arguments as given
+    # each setting's range is checked once, when its config object is built, and each
+    # array's shape and dtype once, when its `Dataset` or network is; the functions a
+    # training step calls take their bounded arguments and their arrays as given
     found = {}
     for module, names in STEP_PATH.items():
         for node in parse(module).body:

@@ -24,9 +24,11 @@ under `change_first` and `change_second` for the pairs where the change ran
 first and second; under `outputs_identical` the number of pairs whose
 `outputs_sha256` matched, out of the pairs run, and under `failed` each
 side's total of failed trials; and under `src_lines` each side's source line
-count, so code size sits next to the numbers. An existing `--out` file is
-extended: its other keys are kept. The file is rewritten after every pair,
-so a run that fails leaves the pairs measured before it in the report.
+count, so code size sits next to the numbers. Each end-to-end metric also
+gets a `verdict` against its BENCHMARK.json `bound` (see `verdict`). An
+existing `--out` file is extended: its other keys are kept. The file is
+rewritten after every pair, so a run that fails leaves the pairs measured
+before it in the report.
 Standard library only.
 """
 
@@ -74,11 +76,34 @@ def wins(pairs, name: str, sign: float) -> dict:
             "median_change_minus_parent": statistics.median(diffs) if diffs else None}
 
 
-def summarize(pairs, better: dict) -> dict:
+def verdict(entry: dict, pairs, name: str, sign: float, bound: float) -> str:
+    """One metric's summary `entry` read against its relative `bound`, the
+    first of these that holds, with "better" in the metric's direction:
+    `worse`, the change's median is worse than the parent's by more than the
+    bound; `unresolved`, the parent's quartile spread exceeds the bound and
+    not every change run beats every parent run; `gain`, the change wins at
+    least 9 of every 10 pairs and its median beats the parent's by more than
+    that spread; else `same`. Bounds are relative to the parent's median."""
+    parent = entry["parent"]
+    allowed = bound * abs(parent["median"])
+    gap = sign * (entry["change"]["median"] - parent["median"])  # > 0: the change is better
+    iqr = parent["q3"] - parent["q1"]
+    if gap < -allowed:
+        return "worse"
+    if iqr > allowed and not (min(sign * p["change"][name] for p in pairs)
+                              > max(sign * p["parent"][name] for p in pairs)):
+        return "unresolved"
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gap > iqr:
+        return "gain"
+    return "same"
+
+
+def summarize(pairs, better: dict, bounds: dict) -> dict:
     """Per metric: both sides' spread and `wins` over all pairs, then `wins`
     over the pairs where the change ran first and over those where it ran
-    second, since the side that runs second tends to read slower. Then the
-    pairs with identical outputs and each side's failed trials, summed."""
+    second, since the side that runs second tends to read slower, and for a
+    metric with a bound its `verdict`. Then the pairs with identical outputs
+    and each side's failed trials, summed."""
     by_first = {side: [p for p in pairs if p["first"] == side] for side in ("change", "parent")}
     out = {}
     for name in pairs[0]["change"]:
@@ -88,6 +113,8 @@ def summarize(pairs, better: dict) -> dict:
                      **wins(pairs, name, sign),
                      "change_first": wins(by_first["change"], name, sign),
                      "change_second": wins(by_first["parent"], name, sign)}
+        if name in bounds:
+            out[name]["verdict"] = verdict(out[name], pairs, name, sign, bounds[name])
     out["outputs_identical"] = {"identical": sum(p["outputs_identical"] for p in pairs),
                                 "pairs": len(pairs)}
     out["failed"] = {side: sum(p["failed"][side] for p in pairs) for side in ("parent", "change")}
@@ -120,6 +147,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {"reports": {}, "pairs": {}, "summary": {}}
     if args.out.exists():
@@ -132,9 +160,10 @@ def main(argv=None) -> int:
                        "one discarded warm-up run per side; summary: per metric, each side's "
                        "median and quartiles, the pairs the change won and the median "
                        "change - parent, those two again split by whether the change ran "
-                       "first or second, the pairs with identical outputs_sha256 out of the "
-                       "pairs run, each side's total of failed trials, and each side's "
-                       "src_lines")
+                       "first or second, each end-to-end metric's verdict against its "
+                       "BENCHMARK.json bound (worse, unresolved, gain or same), the pairs "
+                       "with identical outputs_sha256 out of the pairs run, each side's total "
+                       "of failed trials, and each side's src_lines")
     # both sides' decoded-file cache, so no run fills or prunes the user's
     with tempfile.TemporaryDirectory(prefix="bench_pairs-cache-") as cache, \
             mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
@@ -161,7 +190,7 @@ def main(argv=None) -> int:
                     print(f"{key} pair {k}: " + json.dumps(pairs[-1]), flush=True)
                     report["reports"][key] = {"facts": runs["change"]["facts"],
                                               "metrics": runs["change"]["metrics"]}
-                    report["summary"][key] = summarize(pairs, better)
+                    report["summary"][key] = summarize(pairs, better, bounds)
                     report["summary"][key]["src_lines"] = {side: runs[side]["facts"]["src_lines"]
                                                            for side in sides}
                     args.out.write_text(json.dumps(report, indent=1) + "\n")
