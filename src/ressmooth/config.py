@@ -75,7 +75,7 @@ class ModelSpec:
 class ExperimentConfig:
     dataset: DatasetSpec
     model: ModelSpec
-    optimizer: object  # a config class of optim.OPTIMIZERS
+    optimizer: object  # an instance of a config class of optim.OPTIMIZERS
     epochs: int
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
     schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not isinstance(self.optimizer, tuple(cls for cls, _ in OPTIMIZERS.values())):
+            raise ConfigError(f"unknown optimizer config {type(self.optimizer).__name__}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.label_smoothing > 0.0 and self.smoothing.mode != "off":

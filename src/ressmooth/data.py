@@ -49,11 +49,15 @@ _CACHE_BYTES = 1 << 30
 class Dataset:
     inputs: np.ndarray  # [n, N] uint8 pixel codes, scaled per batch by `features`,
     #                     or float features of at most 64 bits, checked finite here
-    labels: np.ndarray  # [n] int64
-    class_count: int
+    labels: np.ndarray  # [n] integers, each in [0, class_count)
+    class_count: int  # >= 2: a residual is smoothed across the classes
     split: str = "train"
 
     def __post_init__(self):
+        if self.labels.ndim != 1 or self.labels.dtype.kind not in "iu" or self.class_count < 2:
+            raise InputError(f"{self.split} split holds {self.labels.dtype} labels of shape "
+                             f"{self.labels.shape} for {self.class_count} classes, not [n] "
+                             "integer labels for two or more classes")
         if self.inputs.ndim != 2 or self.inputs.shape[0] != self.labels.shape[0]:
             raise ShapeError(f"inputs of shape {self.inputs.shape}, not [{len(self.labels)}, N]")
         if self.labels.size and (int(self.labels.min()) < 0

@@ -101,6 +101,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
         raise InputError("empty test split")
     if (shapes := [(ds.feature_count, ds.class_count) for ds in dataset_pair])[0] != shapes[1]:
         raise ShapeError(f"test split (features, classes) {shapes[1]} != train split {shapes[0]}")
+    if config.dataset.augment and train_ds.feature_count != 3072:
+        raise ShapeError(f"augment crops [n, 3072] CIFAR rows, not [n, {train_ds.feature_count}]")
 
     dims = [train_ds.feature_count, *config.model.hidden, train_ds.class_count]
     network = nn.build_network(dims, config.model.output_activation,

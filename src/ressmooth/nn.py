@@ -1,7 +1,7 @@
-"""A small dense classifier over one flat parameter vector, with
-hand-derived backpropagation. No autodiff: `forward_batch` returns every
-layer's activation, each computed in place over that layer's logits, and
-`backward_batch` chains the loss gradient w.r.t. the network output back
+"""A dense classifier over one flat parameter vector, relu on every layer but
+the last, with hand-derived backpropagation. No autodiff: `forward_batch`
+returns every layer's activation, each computed in place over its logits,
+and `backward_batch` chains the loss gradient w.r.t. the network output back
 through them; a relu's mask comes from its activation (a > 0 exactly where
 z > 0).
 
@@ -21,24 +21,21 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 OUTPUT_ACTIVATIONS = ("softmax", "identity")
-ACTIVATIONS = ("relu", *OUTPUT_ACTIVATIONS)
 CHECKPOINT_MAGIC = b"RSM1"
 
 
 class Network:
-    """Dense layers, one activation each, over one float64 vector `params`
-    laid out weights first: [W0, W1, ..., b0, b1, ...]. `weights[i]`
-    ([out, in], row-major) and `biases[i]` are views of it, so the weights
-    are the prefix of `n_weights` entries."""
+    """Dense layers, relu on all but the last, which applies `output_activation`,
+    over one float64 vector `params` laid out weights first: [W0, W1, ...,
+    b0, b1, ...]. `weights[i]` ([out, in], row-major) and `biases[i]` are
+    views of it, so the weights are the prefix of `n_weights` entries."""
 
-    def __init__(self, dims, activations):
+    def __init__(self, dims, output_activation):
         self.dims = list(dims)
-        self.activations = list(activations)
-        if len(self.dims) < 2 or len(self.activations) != len(self.dims) - 1:
-            raise ShapeError(f"need one activation per layer of dims {self.dims}")
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ShapeError(f"unknown activation {act!r}")
+        self.output_activation = output_activation
+        if len(self.dims) < 2 or output_activation not in OUTPUT_ACTIVATIONS:
+            raise ShapeError(f"need two or more dims and an output activation in "
+                             f"{OUTPUT_ACTIVATIONS}, got {self.dims}, {output_activation!r}")
         self.shapes = list(zip(self.dims[1:], self.dims))
         sizes = [out_dim * in_dim for out_dim, in_dim in self.shapes] + self.dims[1:]
         ends = np.cumsum(sizes).tolist()
@@ -59,10 +56,10 @@ class Network:
 
 
 def build_network(dims, output_activation="softmax", rng=None) -> Network:
-    """Network with the given layer widths; hidden layers are relu. With an
-    rng the weights are He-initialized, ~ Normal(0, sqrt(2 / fan_in)), drawn
-    layer by layer; biases, and everything without an rng, are zero."""
-    network = Network(dims, ["relu"] * (len(dims) - 2) + [output_activation])
+    """Network with the given layer widths. With an rng the weights are
+    He-initialized, ~ Normal(0, sqrt(2 / fan_in)), drawn layer by layer;
+    biases, and everything without an rng, are zero."""
+    network = Network(dims, output_activation)
     if rng is not None:
         for w in network.weights:
             w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
@@ -77,12 +74,12 @@ def forward_batch(network: Network, xb: np.ndarray) -> list:
     Inputs are taken as given: a `Dataset` checks their shape, dtype and values,
     and the split check or `load_parameters` fits the network to their width."""
     acts = [xb]
-    for w, b, act in zip(network.weights, network.biases, network.activations):
+    for w, b in zip(network.weights, network.biases):
         z = acts[-1] @ w.T
         z += b
-        if act == "relu":
+        if len(acts) < len(network.weights):  # a hidden layer
             np.maximum(z, 0.0, out=z)
-        elif act == "softmax":
+        elif network.output_activation == "softmax":
             z -= z.max(axis=1, keepdims=True)
             np.exp(z, out=z)
             z /= z.sum(axis=1, keepdims=True)
@@ -103,11 +100,10 @@ def backward_batch(network: Network, acts: list, dl_dout: np.ndarray,
     delta = dl_dout
     for i in reversed(range(len(network.weights))):
         a = acts[i + 1]
-        act = network.activations[i]
-        if act == "relu":  # delta * (a > 0), the mask of z > 0, made as float64 in place
+        if i < len(network.weights) - 1:  # relu: delta * (a > 0), the mask of z > 0, in place
             dz = np.greater(a, 0.0, out=np.empty_like(a))
             dz *= delta
-        elif act == "identity":
+        elif network.output_activation == "identity":
             dz = delta
         else:
             dz = delta - np.sum(a * delta, axis=1, keepdims=True)

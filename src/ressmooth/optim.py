@@ -158,17 +158,15 @@ class AdaGrad:
 
 
 # The optimizer set, written once: [optimizer] kind -> (config class, update
-# rule). `config.parse_config_text` and `make_optimizer` both read it.
+# rule). `config` parses and checks against it, and `make_optimizer` reads it.
 OPTIMIZERS = {"sgd": (SgdConfig, Sgd), "adam": (AdamConfig, Adam),
               "adagrad": (AdaGradConfig, AdaGrad)}
 
 
 def make_optimizer(config, network: Network):
     """The update rule that OPTIMIZERS pairs with this config's class."""
-    for config_class, rule in OPTIMIZERS.values():
-        if isinstance(config, config_class):
-            return rule(network, config)
-    raise ConfigError(f"unknown optimizer config {type(config).__name__}")
+    (rule,) = [rule for cls, rule in OPTIMIZERS.values() if isinstance(config, cls)]
+    return rule(network, config)
 
 
 def label_smooth(target_onehot: np.ndarray, epsilon: float) -> np.ndarray:

@@ -94,22 +94,16 @@ def batch_smoothed_loss_grad(predictions: np.ndarray, targets: np.ndarray,
     the diffusivity rows, for a whole mini-batch.
 
     Each per-sample W = diag(a) + c 1^T is applied in closed form, O(BM) per
-    step: Wu = a*u + c*sum(u) and W^T v = a*v + sum(c*v). M = 1 is the
-    identity, and kappa = 0 gives a = 1, c = 0: plain squared error, bitwise.
+    step: Wu = a*u + c*sum(u) and W^T v = a*v + sum(c*v), for M >= 2 classes.
+    kappa = 0 gives a = 1, c = 0: plain squared error, bitwise.
 
     Returns (loss[B], grad[B, M], kappa[B, M]).
     """
     r = predictions - targets
     d = np.abs(r)
     kappa = batch_diffusivity(d, s_t, cfg)
-    m = d.shape[1]
-    if m > 1:
-        c = kappa / (m - 1.0)
-        a = 1.0 - kappa
-        a -= c
-    else:  # a single output has nothing to interpolate with: W = 1
-        c = np.zeros_like(kappa)
-        a = np.ones_like(kappa)
+    c = kappa / (d.shape[1] - 1.0)
+    a = 1.0 - kappa - c
     # in place, each expression in the order of u = a*u + c*sum(u) and
     # v = a*v + sum(c*v), so the bits are those of the fresh-array form
     u = d

@@ -63,10 +63,11 @@ def fd_grad():
     return _fd
 
 
-def net_of(pairs, activations):
-    """A network holding the given (weights, bias) pairs."""
+def net_of(pairs, output_activation):
+    """A network holding the given (weights, bias) pairs: relu on every layer
+    but the last, which applies `output_activation`."""
     dims = [pairs[0][0].shape[1], *(w.shape[0] for w, _ in pairs)]
-    return load_parameters(Network(dims, activations), pairs)
+    return load_parameters(Network(dims, output_activation), pairs)
 
 
 @pytest.fixture

@@ -40,6 +40,12 @@ class ForwardCache(NamedTuple):
         return self.post[-1]
 
 
+def activations(network: Network) -> list:
+    """Each layer's activation, by position: relu on every layer but the
+    last, which applies the network's output activation."""
+    return ["relu"] * (len(network.weights) - 1) + [network.output_activation]
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z)  # stabilization, mandatory
     e = np.exp(shifted)
@@ -55,7 +61,7 @@ def forward(network: Network, x: np.ndarray) -> ForwardCache:
         raise InputError("non-finite input")
     pre, post = [], []
     a = x
-    for w, b, act in zip(network.weights, network.biases, network.activations):
+    for w, b, act in zip(network.weights, network.biases, activations(network)):
         z = w @ a + b
         if act == "relu":
             a = np.maximum(z, 0.0)
@@ -80,7 +86,7 @@ def backward(network: Network, cache: ForwardCache, dl_dout: np.ndarray) -> np.n
     delta = dl_dout
     for i in reversed(range(k)):
         z = cache.pre[i]
-        act = network.activations[i]
+        act = activations(network)[i]
         if act == "relu":
             dz = delta * (z > 0.0)  # subgradient 0 at z == 0
         elif act == "identity":
@@ -106,7 +112,7 @@ def fresh_softmax_rows(z: np.ndarray) -> np.ndarray:
 def fresh_forward_batch(network: Network, xb: np.ndarray) -> ForwardCache:
     pre, post = [], []
     a = xb
-    for w, b, act in zip(network.weights, network.biases, network.activations):
+    for w, b, act in zip(network.weights, network.biases, activations(network)):
         z = a @ w.T + b
         if act == "relu":
             a = np.maximum(z, 0.0)
@@ -127,7 +133,7 @@ def fresh_backward_batch(network: Network, cache: ForwardCache,
     delta = dl_dout
     for i in reversed(range(k)):
         z = cache.pre[i]
-        act = network.activations[i]
+        act = activations(network)[i]
         if act == "relu":
             dz = delta * (z > 0.0)
         elif act == "identity":
@@ -170,13 +176,8 @@ def fresh_batch_smoothed_loss_grad(predictions: np.ndarray, targets: np.ndarray,
     r = predictions - targets
     d = np.abs(r)
     kappa = fresh_batch_diffusivity(d, s_t, cfg)
-    m = d.shape[1]
-    if m > 1:
-        c = kappa / (m - 1.0)
-        a = 1.0 - kappa - c
-    else:
-        c = np.zeros_like(kappa)
-        a = np.ones_like(kappa)
+    c = kappa / (d.shape[1] - 1.0)
+    a = 1.0 - kappa - c
     u = d
     for _ in range(cfg.n_steps):
         u = a * u + c * u.sum(axis=1, keepdims=True)

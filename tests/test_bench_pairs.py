@@ -133,6 +133,32 @@ def test_summary_counts_identical_outputs_and_failed_trials(tmp_path, monkeypatc
     assert summary["failed"] == {"parent": 0, "change": 1}
 
 
+def test_the_report_is_described_once_by_the_docstrings_output_paragraph(tmp_path,
+                                                                          monkeypatch):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+
+    def run_once(checkout, workload, seed, seconds, trace, size):
+        return {"facts": {"src_lines": 1, "outputs_sha256": {"a": "0"}},
+                "metrics": {"run_s": 1.0}, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workloads", "many_class", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    paragraphs = [" ".join(p.split()) for p in bench_pairs.__doc__.split("\n\n")]
+    assert report["about"] in paragraphs
+    assert report["about"].startswith("The output keeps the layout")
+    summary = report["summary"]["many_class-seed17"]
+    for key in [*(set(report) - {"command"}), *(set(summary) - {"run_s"}), "verdict",
+                "change_first", "change_second", "worse", "unresolved", "gain", "same"]:
+        assert f"`{key}`" in report["about"], key
+
+
 def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, monkeypatch):
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for path in sides.values():

@@ -170,6 +170,13 @@ def test_nan_fails_the_dataclass_checks(make):
         make()
 
 
+@pytest.mark.parametrize("optimizer", [object(), None, SmoothingConfig()],
+                         ids=["object", "None", "SmoothingConfig"])
+def test_an_optimizer_that_no_kind_selects_is_refused_when_the_config_is_built(optimizer):
+    with pytest.raises(ConfigError, match=f"^unknown optimizer config {type(optimizer).__name__}$"):
+        replace(PLAIN, optimizer=optimizer)
+
+
 def test_optimizer_kind_scopes_keys():
     text = GOOD.replace("kind = sgd", "kind = adam")
     with pytest.raises(ConfigError, match="does not apply"):

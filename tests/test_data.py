@@ -647,6 +647,21 @@ def test_dataset_validation():
             Dataset(np.zeros((2, 2), dtype), np.zeros(2, np.int64), 10)
     for dtype in ("u1", "f2", "f4", "<f8", ">f8"):
         assert Dataset(np.zeros((2, 2), dtype), np.zeros(2, np.int64), 10).feature_count == 2
+    for dtype in (np.uint8, np.int32, np.int64):
+        assert Dataset(np.zeros((2, 2)), np.array([0, 1], dtype), 2).n == 2
+
+
+@pytest.mark.parametrize("labels, class_count", [
+    (np.zeros((4, 1), np.int64), 10),
+    (np.zeros(4), 10),
+    (np.zeros(4, np.bool_), 10),
+    (np.zeros(4, np.int64), 1),  # a residual of one element has nothing to smooth across
+], ids=["column", "float", "bool", "one-class"])
+def test_dataset_refuses_labels_that_are_not_integers_of_two_or_more_classes(labels,
+                                                                           class_count):
+    with pytest.raises(InputError, match=r"^test split holds \w+ labels of shape \(4,( 1)?\) "
+                                         rf"for {class_count} classes, not \[n\] integer"):
+        Dataset(np.zeros((4, 2)), labels, class_count, "test")
 
 
 def test_features_scale_codes_and_pass_floats_through():

@@ -12,7 +12,7 @@ from ressmooth import data, harness, nn, optim
 from ressmooth.annealing import KINDS, AnnealSchedule, scale_at
 from ressmooth.config import DatasetSpec, ExperimentConfig, ModelSpec
 from ressmooth.data import features, load_cifar10_bin, load_idx, take_uniform
-from ressmooth.errors import ConfigError, InputError, TrainingError
+from ressmooth.errors import ConfigError, InputError, ShapeError, TrainingError
 from ressmooth.harness import (AGGREGATE_HEADER, METRICS_HEADER, EpochMetrics, TrialAggregate,
                                TrialRow, evaluate, grid_search, prepare_data, read_axes,
                                run_trials, substream, summarize, train, write_aggregate_csv,
@@ -381,6 +381,22 @@ def test_train_rejects_an_empty_test_split_before_any_step(make_blobs, monkeypat
     assert steps == []
 
 
+def test_train_refuses_to_augment_rows_that_are_not_cifar_images(monkeypatch):
+    """`augment` crops [n, 3072] CIFAR rows; an in-memory pair of other rows is
+    refused with the pair checks, before the network is built."""
+    from ressmooth.data import Dataset
+    labels = (np.arange(8) % 2).astype(np.int64)
+    rows = np.zeros((8, 768), np.uint8)
+    pair = (Dataset(rows, labels, 2, "train"), Dataset(rows[:4], labels[:4], 2, "test"))
+    spec = DatasetSpec(kind="cifar10", train_files=("unused",), test_files=("unused",),
+                       augment=True)
+    built = []
+    monkeypatch.setattr(nn, "build_network", lambda *args: built.append(args))
+    with pytest.raises(ShapeError, match=r"^augment crops \[n, 3072\] CIFAR rows, not \[n, 768\]$"):
+        train(dataclasses.replace(blob_config(), dataset=spec), 0, pair)
+    assert built == []
+
+
 def _same_network(net_a, net_b):
     return net_a.params.tobytes() == net_b.params.tobytes()
 
@@ -470,7 +486,7 @@ def test_evaluate_uniform_network_hits_class_zero_frequency(make_blobs):
 
 def test_evaluate_shuffle_invariant(make_blobs):
     test_ds = blob_pair(make_blobs)[1]
-    net = net_of([(np.random.default_rng(0).normal(size=(2, 4)), np.zeros(2))], ["softmax"])
+    net = net_of([(np.random.default_rng(0).normal(size=(2, 4)), np.zeros(2))], "softmax")
     perm = np.random.default_rng(1).permutation(test_ds.n)
     shuffled = dataclasses.replace(test_ds, inputs=test_ds.inputs[perm],
                                    labels=test_ds.labels[perm])

@@ -40,21 +40,23 @@ def test_he_init_deterministic_per_seed():
 # a multi-row batch.
 
 def test_forward_identity_layer():
-    net = net_of([(np.eye(3), np.zeros(3))], ["identity"])
+    net = net_of([(np.eye(3), np.zeros(3))], "identity")
     xb = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]])
     for rows in (1, 2):
         assert np.array_equal(forward_batch(net, xb[:rows])[-1], xb[:rows])
 
 
 def test_forward_relu():
-    net = net_of([(np.eye(2), np.zeros(2))], ["relu"])
+    # relu on the hidden layer only: the identity output negates its result
+    net = net_of([(np.eye(2), np.zeros(2)), (-np.eye(2), np.zeros(2))], "identity")
     xb = np.array([[-1.0, 2.0], [3.0, -4.0]])
-    assert forward_batch(net, xb[:1])[-1].tolist() == [[0.0, 2.0]]
-    assert forward_batch(net, xb)[-1].tolist() == [[0.0, 2.0], [3.0, 0.0]]
+    assert forward_batch(net, xb[:1])[1].tolist() == [[0.0, 2.0]]
+    assert forward_batch(net, xb)[1].tolist() == [[0.0, 2.0], [3.0, 0.0]]
+    assert forward_batch(net, xb)[-1].tolist() == [[0.0, -2.0], [-3.0, 0.0]]
 
 
 def test_forward_softmax_symmetry():
-    net = net_of([(np.eye(2), np.zeros(2))], ["softmax"])
+    net = net_of([(np.eye(2), np.zeros(2))], "softmax")
     xb = np.array([[0.0, 0.0], [7.5, 7.5], [-3.0, -3.0]])
     assert forward_batch(net, xb[:1])[-1].tolist() == [[0.5, 0.5]]
     assert forward_batch(net, xb)[-1].tolist() == [[0.5, 0.5]] * 3
@@ -71,8 +73,8 @@ def test_softmax_normalization_and_range():
 
 def test_softmax_shift_invariance():
     w = np.random.default_rng(3).normal(size=(5, 4))
-    net_plain = net_of([(w, np.zeros(5))], ["softmax"])
-    net_shifted = net_of([(w, np.full(5, 123.0))], ["softmax"])
+    net_plain = net_of([(w, np.zeros(5))], "softmax")
+    net_shifted = net_of([(w, np.full(5, 123.0))], "softmax")
     xb = np.array([[0.1, -0.4, 0.9, 0.2], [2.0, 0.5, -1.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
     for rows in (1, 3):
         a = forward_batch(net_plain, xb[:rows])[-1]
@@ -101,7 +103,7 @@ def test_backward_zero_gradient():
 
 def test_backward_linear_sum_loss():
     # identity net, loss = sum over rows of sum(h): dL/dW = sum_b outer(1, x_b), dL/db = B
-    net = net_of([(np.eye(3), np.zeros(3))], ["identity"])
+    net = net_of([(np.eye(3), np.zeros(3))], "identity")
     xb = np.array([[0.2, -0.6, 1.5], [1.0, 0.5, -2.0]])
     for rows in (1, 2):
         gw, gb = net.views(backward_batch(net, forward_batch(net, xb[:rows]),
@@ -171,7 +173,7 @@ def test_batch_passes_bitwise_match_fresh_array_forms(output_activation):
 def test_softmax_rows_bitwise_matches_fresh_array_form():
     rng = np.random.default_rng(17)
     z = np.concatenate([rng.normal(0.0, 30.0, size=(20, 10)), np.full((1, 10), -745.0)])
-    net = net_of([(np.eye(10), np.zeros(10))], ["softmax"])
+    net = net_of([(np.eye(10), np.zeros(10))], "softmax")
     logits = fresh_forward_batch(net, z).pre[0]
     assert forward_batch(net, z)[-1].tobytes() == fresh_softmax_rows(logits).tobytes()
 
@@ -180,14 +182,13 @@ def test_softmax_rows_bitwise_matches_fresh_array_form():
 
 def test_network_chain_validation():
     with pytest.raises(ShapeError):
-        Network([4, 3, 2], ["softmax"])  # two layers, one activation
+        Network([4], "softmax")
     with pytest.raises(ShapeError):
-        Network([4], [])
-    with pytest.raises(ShapeError):
-        Network([4, 3], ["sigmoid"])
+        Network([4, 3], "sigmoid")
+    with pytest.raises(ShapeError):  # relu is a hidden layer's, never the output's
+        Network([4, 3], "relu")
     with pytest.raises(ShapeError):  # the pairs do not chain 4 -> 3 -> 2
-        net_of([(np.zeros((3, 4)), np.zeros(3)), (np.zeros((2, 5)), np.zeros(2))],
-               ["relu", "softmax"])
+        net_of([(np.zeros((3, 4)), np.zeros(3)), (np.zeros((2, 5)), np.zeros(2))], "softmax")
 
 
 # --- checkpoints -------------------------------------------------------------------

@@ -11,7 +11,7 @@ from ressmooth.optim import (_BLOCK, OPTIMIZERS, AdaGrad, AdaGradConfig, Adam, A
 
 
 def scalar_net(w=1.0, b=0.0):
-    return net_of([(np.array([[w]]), np.array([b]))], ["identity"])
+    return net_of([(np.array([[w]]), np.array([b]))], "identity")
 
 
 def grads_of(net, gw_value=0.0, gb_value=0.0):
@@ -68,7 +68,7 @@ def test_sgd_biases_escape_weight_decay():
 
 
 def test_sgd_decay_only_norm_strictly_decreases():
-    net = net_of([(np.random.default_rng(0).normal(size=(4, 4)), np.zeros(4))], ["identity"])
+    net = net_of([(np.random.default_rng(0).normal(size=(4, 4)), np.zeros(4))], "identity")
     opt = Sgd(net, SgdConfig(momentum=0.0, weight_decay=0.01))
     norms = [float(np.linalg.norm(net.weights[0]))]
     for _ in range(50):
@@ -88,7 +88,7 @@ def test_sgd_momentum_accumulates():
 def test_sgd_deterministic_over_100_steps():
     def run():
         rng = np.random.default_rng(21)
-        net = net_of([(rng.normal(size=(3, 5)), np.zeros(3))], ["identity"])
+        net = net_of([(rng.normal(size=(3, 5)), np.zeros(3))], "identity")
         opt = Sgd(net, SgdConfig(momentum=0.9, weight_decay=1e-3))
         for step in range(100):
             opt.step(net, rng.normal(size=net.params.size), progress=step / 100)
@@ -271,8 +271,6 @@ def test_make_optimizer_dispatch():
     assert len({rule for _, rule in OPTIMIZERS.values()}) == len(OPTIMIZERS)
     for config_class, rule in OPTIMIZERS.values():
         assert type(make_optimizer(config_class(), net)) is rule
-    with pytest.raises(ConfigError):
-        make_optimizer(object(), net)
 
 
 # --- label smoothing --------------------------------------------------------------------

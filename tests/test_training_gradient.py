@@ -1,7 +1,8 @@
 """The gradient the training loop hands its optimizer, checked by central
 differences of the dense per-sample smoothed loss in `oracles.py`: through
 `harness.train` itself, so the `/ rows` scaling, label smoothing, several
-smoothing steps and a short final batch are all on the checked path."""
+smoothing steps, a short final batch and the network's layers (relu on every
+one but the last, softmax or identity there) are all on the checked path."""
 
 import numpy as np
 import pytest
@@ -43,18 +44,25 @@ def _frozen_loss(network, x, y, s_t, cfg):
                                      cfg.n_steps) for xi, yi, w in zip(x, y, mats)) / len(x)
 
 
-@pytest.mark.parametrize("smoothing_cfg, schedule, label_smoothing", [
-    (SmoothingConfig(mode="off"), AnnealSchedule(), 0.1),
-    (SmoothingConfig(mode="global_local", alpha=1.5, n_steps=2),
-     AnnealSchedule(kind="laplace", b=0.3), 0.0)], ids=["off-label-smoothing", "global_local"])
+OFF = (SmoothingConfig(mode="off"), AnnealSchedule(), 0.1)
+GLOBAL_LOCAL = (SmoothingConfig(mode="global_local", alpha=1.5, n_steps=2),
+                AnnealSchedule(kind="laplace", b=0.3), 0.0)
+DEEP = ModelSpec(hidden=(5, 4), output_activation="identity")
+
+
+@pytest.mark.parametrize("smoothing_cfg, schedule, label_smoothing, model", [
+    (*OFF, ModelSpec(hidden=(5,))), (*GLOBAL_LOCAL, ModelSpec(hidden=(5,))),
+    (*OFF, DEEP), (*GLOBAL_LOCAL, DEEP)],
+    ids=["off-label-smoothing", "global_local", "deep-identity-off-label-smoothing",
+         "deep-identity-global_local"])
 def test_each_step_hands_the_optimizer_the_smoothed_loss_gradient(
-        make_blobs, fd_grad, monkeypatch, smoothing_cfg, schedule, label_smoothing):
+        make_blobs, fd_grad, monkeypatch, smoothing_cfg, schedule, label_smoothing, model):
     train_ds = make_blobs(n_per_class=15, centers=CENTERS, noise=0.5, seed=11)
     test_ds = make_blobs(n_per_class=4, centers=CENTERS, noise=0.5, seed=12, split="test")
     config = ExperimentConfig(
         dataset=DatasetSpec(kind="fashion_mnist", train_images="unused",
                             train_labels="unused", test_images="unused", test_labels="unused"),
-        model=ModelSpec(hidden=(5,)), optimizer=SgdConfig(), epochs=1,
+        model=model, optimizer=SgdConfig(), epochs=1,
         smoothing=smoothing_cfg, schedule=schedule, label_smoothing=label_smoothing,
         batch_size=16)
     recorders, rows = [], []
@@ -78,6 +86,7 @@ def test_each_step_hands_the_optimizer_the_smoothed_loss_gradient(
     assert len(recorder.steps) == len(rows)
     assert recorder.steps[-1][1] == (len(rows) - 1) / len(rows)  # (T - 1) / T
     network = recorder.network
+    assert network.dims == [3, *model.hidden, 3]
     m = train_ds.class_count
     for idx, (grads, progress) in zip(rows, recorder.steps):
         s_t = scale_at(schedule, progress) if smoothing_cfg.mode != "off" else 0.0

@@ -15,8 +15,9 @@ must be even, so that each side runs first equally often.
 
 The output keeps the layout of the earlier `BENCH_<pr>.json` files:
 `reports` holds the change's report (facts and metrics) from the last pair,
-`pairs` every pair's metrics of both sides and which side ran first, both
-keyed by `<workload>-seed<seed>` (`-trace` appended for `--trace 1` runs).
+`pairs` every pair's metrics of both sides and which side ran first (the
+warm-up runs are not kept), both keyed by `<workload>-seed<seed>` (`-trace`
+appended for `--trace 1` runs).
 `summary` adds, per metric, each side's median and quartiles, the number of
 pairs the change won (a strictly better value, in the direction
 BENCHMARK.json gives) and the median change - parent, the same two again
@@ -25,10 +26,12 @@ first and second; under `outputs_identical` the number of pairs whose
 `outputs_sha256` matched, out of the pairs run, and under `failed` each
 side's total of failed trials; and under `src_lines` each side's source line
 count, so code size sits next to the numbers. Each end-to-end metric also
-gets a `verdict` against its BENCHMARK.json `bound` (see `verdict`). An
-existing `--out` file is extended: its other keys are kept. The file is
-rewritten after every pair, so a run that fails leaves the pairs measured
-before it in the report.
+gets a `verdict` against its BENCHMARK.json `bound`: `worse`, `unresolved`,
+`gain` or `same` (see `verdict`). An existing `--out` file is extended: its
+other keys are kept. The file is rewritten after every pair, so a run that
+fails leaves the pairs measured before it in the report. `about` holds this
+paragraph, on one line.
+
 Standard library only.
 """
 
@@ -154,16 +157,8 @@ def main(argv=None) -> int:
         report = json.loads(args.out.read_text())
     report["command"] = (f"python3 perfbench/run.py --workload <name> --seed <seed> "
                          f"--seconds {args.seconds:g} --trace <0 or 1> --size {args.size}")
-    report["about"] = ("reports: this change's report per workload, seed and trace setting, "
-                       "from the last pair; pairs: the metrics of every pair, parent commit and "
-                       "change, alternating which ran first (odd pairs: parent first), after "
-                       "one discarded warm-up run per side; summary: per metric, each side's "
-                       "median and quartiles, the pairs the change won and the median "
-                       "change - parent, those two again split by whether the change ran "
-                       "first or second, each end-to-end metric's verdict against its "
-                       "BENCHMARK.json bound (worse, unresolved, gain or same), the pairs "
-                       "with identical outputs_sha256 out of the pairs run, each side's total "
-                       "of failed trials, and each side's src_lines")
+    report["about"] = " ".join(next(p for p in __doc__.split("\n\n")
+                                    if p.startswith("The output")).split())
     # both sides' decoded-file cache, so no run fills or prunes the user's
     with tempfile.TemporaryDirectory(prefix="bench_pairs-cache-") as cache, \
             mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
