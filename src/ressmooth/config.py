@@ -183,7 +183,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"unparsable config: {exc}") from None
+        raise ConfigError(f"unparsable config: {' '.join(str(exc).split())}") from None
 
     for section in parser.sections():
         if section not in _SECTIONS.values():
@@ -225,7 +225,7 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a config file; relative dataset paths resolve against its directory."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, base_dir=path.parent)

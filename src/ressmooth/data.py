@@ -47,6 +47,7 @@ _CACHE_BYTES = 1 << 30
 
 @dataclass
 class Dataset:
+    """A split of n >= 1 rows of N >= 1 features, checked here, where every split is built."""
     inputs: np.ndarray  # [n, N] uint8 pixel codes, scaled per batch by `features`,
     #                     or float features of at most 64 bits, checked finite here
     labels: np.ndarray  # [n] integers, each in [0, class_count)
@@ -58,10 +59,12 @@ class Dataset:
             raise InputError(f"{self.split} split holds {self.labels.dtype} labels of shape "
                              f"{self.labels.shape} for {self.class_count} classes, not [n] "
                              "integer labels for two or more classes")
-        if self.inputs.ndim != 2 or self.inputs.shape[0] != self.labels.shape[0]:
-            raise ShapeError(f"inputs of shape {self.inputs.shape}, not [{len(self.labels)}, N]")
-        if self.labels.size and (int(self.labels.min()) < 0
-                                 or int(self.labels.max()) >= self.class_count):
+        if not self.labels.size:
+            raise InputError(f"empty {self.split} split")
+        if self.inputs.ndim != 2 or len(self.inputs) != len(self.labels) or not self.inputs.size:
+            raise ShapeError(f"inputs of shape {self.inputs.shape}, "
+                             f"not [{len(self.labels)}, N] with N >= 1")
+        if int(self.labels.min()) < 0 or int(self.labels.max()) >= self.class_count:
             raise InputError("label out of range")
         if self.inputs.dtype.str[1:] not in ("u1", "f2", "f4", "f8"):  # any byte order
             raise InputError(f"{self.split} split holds {self.inputs.dtype} inputs, "

@@ -22,7 +22,7 @@ from . import data as data_mod
 from . import nn, optim, smoothing
 from .annealing import scale_at
 from .config import DATASETS, DatasetSpec, ExperimentConfig
-from .errors import ConfigError, InputError, ShapeError, TrainingError
+from .errors import ConfigError, ShapeError, TrainingError
 
 _EVAL_CHUNK = 1024  # rows per product; fixed, as a row's bits depend on its product's row count
 _STREAMS = {"init": 0, "shuffle": 1, "augment": 2, "take": 3, "ratio": 4}
@@ -92,13 +92,9 @@ def _nonfinite_layers(network: nn.Network):
 
 
 def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
-    """One full training run on a prepared (train, test) pair; returns
-    (network, per-epoch metrics)."""
+    """One full training run on a prepared (train, test) pair, each split non-empty
+    as every `Dataset` is; returns (network, per-epoch metrics)."""
     train_ds, test_ds = dataset_pair
-    if train_ds.n == 0:
-        raise InputError("empty training split")
-    if test_ds.n == 0:
-        raise InputError("empty test split")
     if (shapes := [(ds.feature_count, ds.class_count) for ds in dataset_pair])[0] != shapes[1]:
         raise ShapeError(f"test split (features, classes) {shapes[1]} != train split {shapes[0]}")
     if config.dataset.augment and train_ds.feature_count != 3072:
@@ -164,11 +160,8 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
 
 
 def evaluate(network: nn.Network, dataset: data_mod.Dataset):
-    """(accuracy percent, mean plain squared-error loss) on a dataset.
-
-    The predicted class is the first index attaining the output maximum."""
-    if dataset.n == 0:
-        raise InputError("cannot evaluate on an empty dataset")
+    """(accuracy percent, mean plain squared-error loss) on a dataset, non-empty as every
+    `Dataset` is; the predicted class is the first index attaining the output maximum."""
     eye = np.eye(dataset.class_count)
     correct = 0
     loss_sum = 0.0

@@ -251,6 +251,24 @@ def test_an_empty_test_split_exits_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, split", [("train", "train"), ("grid", "train"),
+                                            ("eval", "test")])
+def test_an_empty_split_is_refused_at_load_before_any_network_is_built(
+        tiny_corpus, tmp_path, capsys, monkeypatch, command, split):
+    files = {"train": ("ti.gz", "tl.gz"), "test": ("vi.gz", "vl.gz")}[split]
+    write_idx_pair(np.zeros((0, 8, 8)), np.zeros(0), *(tmp_path / name for name in files))
+
+    def build_network(*args, **kwargs):
+        raise AssertionError("built a network before the splits were checked")
+
+    monkeypatch.setattr(nn, "build_network", build_network)
+    out = tmp_path / "out"
+    flags = ["--out-dir", str(out)] if command != "eval" else ["--checkpoint", "x.rsm"]
+    assert main([command, "--config", str(tiny_corpus), *flags]) == 2
+    assert capsys.readouterr().err == f"error: empty {split} split\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["the-file", "below-the-file"])
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_an_out_dir_at_or_below_a_file_exits_before_the_corpus_is_read(

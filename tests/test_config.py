@@ -425,6 +425,29 @@ def test_a_config_that_is_not_utf8_names_the_file_and_the_byte(tmp_path):
         parse_config(path)
 
 
+def test_a_config_saved_with_a_byte_order_mark_parses_as_without(tmp_path):
+    text = (Path(__file__).resolve().parent.parent / "configs/fashion_baseline.ini").read_text()
+    (tmp_path / "plain.ini").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.ini").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.ini").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config(tmp_path / "bom.ini") == parse_config(tmp_path / "plain.ini")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\ufeff" + GOOD.lstrip(), "File contains no section headers. file: '<string>', line: 1 "
+                               "'\\ufeff[dataset]\\n'"),
+    ("garbage\n" + GOOD, "File contains no section headers. file: '<string>', line: 1 "
+                         "'garbage\\n'"),
+    (GOOD.replace("seed = 7", "seed = 7\ngarbage line"),
+     "Source contains parsing errors: '<string>' [line 10]: 'garbage line\\n'"),
+], ids=["bom-in-text", "no-header", "malformed-line"])
+def test_an_unparsable_config_is_refused_on_one_line(text, message):
+    # configparser wraps these messages over several lines; the CLI prints one per error
+    with pytest.raises(ConfigError) as refused:
+        parse_config_text(text)
+    assert str(refused.value) == f"unparsable config: {message}"
+
+
 @pytest.fixture(scope="module")
 def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
@@ -442,5 +465,5 @@ def test_damaged_config_bytes_parse_or_raise_config_error(config_dir, at, droppe
     path.write_bytes(blob[:at] + inserted + blob[at + dropped:])
     try:
         assert isinstance(parse_config(path), ExperimentConfig)
-    except ConfigError:
-        pass
+    except ConfigError as exc:
+        assert "\n" not in str(exc)  # the CLI prints one line per refusal

@@ -121,11 +121,13 @@ def test_load_cifar_single_record(tmp_path):
     assert np.array_equal(ds.inputs, np.full((1, 3072), 255, np.uint8))
 
 
-def test_load_cifar_empty_file_is_valid(tmp_path):
-    path = tmp_path / "empty.bin"
-    path.write_bytes(b"")
-    ds = load_cifar10_bin([path])
-    assert ds.n == 0
+def test_load_cifar_with_no_record_is_an_empty_split(tmp_path):
+    empty, batch = tmp_path / "empty.bin", tmp_path / "batch.bin"
+    empty.write_bytes(b"")
+    write_cifar(batch, [3, 7])
+    with pytest.raises(InputError, match="^empty train split$"):
+        load_cifar10_bin([empty])
+    assert load_cifar10_bin([empty, batch]).labels.tolist() == [3, 7]  # an empty file adds none
 
 
 def test_load_cifar_bad_size(tmp_path):
@@ -632,9 +634,12 @@ def test_augment_batch_matches_per_image_oracle(seed):
 
 def test_dataset_validation():
     # the step path takes [n, N] rows as given, so a split of any other shape is refused here
-    for shape in ((3, 2), (4,), (4, 2, 2)):
-        with pytest.raises(ShapeError, match=r"not \[4, N\]"):
+    for shape in ((3, 2), (4,), (4, 2, 2), (4, 0)):
+        with pytest.raises(ShapeError, match=r"not \[4, N\] with N >= 1$"):
             Dataset(np.zeros(shape), np.zeros(4, np.int64), 10)
+    for shape in ((0, 2), (0, 0)):  # no rows: nothing to train on or evaluate
+        with pytest.raises(InputError, match="^empty test split$"):
+            Dataset(np.zeros(shape), np.zeros(0, np.int64), 10, "test")
     with pytest.raises(InputError):
         Dataset(np.zeros((2, 2)), np.array([0, 10]), 10)
     with pytest.raises(InputError, match="label out of range"):
@@ -649,6 +654,33 @@ def test_dataset_validation():
         assert Dataset(np.zeros((2, 2), dtype), np.zeros(2, np.int64), 10).feature_count == 2
     for dtype in (np.uint8, np.int32, np.int64):
         assert Dataset(np.zeros((2, 2)), np.array([0, 1], dtype), 2).n == 2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(0, 3), feature_count=st.integers(0, 3),
+       input_dtype=st.sampled_from(["u1", "f2", "f4", "<f8", ">f8", "i1", "u2", "i8", "?", "c16"]),
+       poison=st.sampled_from([None, np.nan, -np.inf]),
+       label_dtype=st.sampled_from(["u1", "i2", "<i8", ">i8", "u8", "f8", "?"]),
+       class_count=st.integers(-1, 4), data=st.data())
+def test_a_dataset_is_built_exactly_when_its_whole_rule_holds(
+        n, feature_count, input_dtype, poison, label_dtype, class_count, data):
+    inputs = np.zeros((n, feature_count), input_dtype)
+    poisoned = poison is not None and inputs.dtype.kind == "f" and inputs.size > 0
+    if poisoned:
+        inputs.flat[data.draw(st.integers(0, inputs.size - 1))] = poison
+    shape = data.draw(st.sampled_from([(n,), (n, 1), (n + 1,), ()]))
+    values = data.draw(st.lists(st.integers(-1, 4), min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape))))
+    labels = np.array(values, np.int64).astype(label_dtype).reshape(shape)  # -1 wraps if unsigned
+    usable = (n >= 1 and feature_count >= 1 and shape == (n,) and labels.dtype.kind in "iu"
+              and class_count >= 2 and 0 <= labels.min() and labels.max() < class_count
+              and input_dtype in ("u1", "f2", "f4", "<f8", ">f8") and not poisoned)
+    try:
+        Dataset(inputs, labels, class_count)
+    except (InputError, ShapeError):
+        assert not usable
+    else:
+        assert usable
 
 
 @pytest.mark.parametrize("labels, class_count", [

@@ -359,26 +359,16 @@ def test_augmentation_path_is_deterministic_and_active():
     assert metrics_c != metrics_a  # augmentation really perturbs the inputs
 
 
-def test_train_rejects_empty_split(make_blobs):
-    from ressmooth.data import Dataset
-    empty = Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), 2, "train")
-    with pytest.raises(InputError):
-        train(blob_config(), 0, (empty, blob_pair(make_blobs)[1]))
-
-
-def test_train_rejects_an_empty_test_split_before_any_step(make_blobs, monkeypatch):
-    train_ds, test_ds = blob_pair(make_blobs)
-    empty = dataclasses.replace(test_ds, inputs=test_ds.inputs[:0], labels=test_ds.labels[:0])
-    steps = []
-
-    class Counter:
-        def step(self, *args):
-            steps.append(args)
-
-    monkeypatch.setattr(optim, "make_optimizer", lambda config, network: Counter())
-    with pytest.raises(InputError, match="^empty test split$"):
-        train(blob_config(), 0, (train_ds, empty))
-    assert steps == []
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_an_empty_split_is_refused_where_it_is_built(make_blobs, split):
+    # `train` and `evaluate` take their splits as given: no `Dataset` holds zero rows,
+    # whether it is built, cut down by `dataclasses.replace` or subset to none
+    ds = blob_pair(make_blobs)[split == "test"]
+    for build in (lambda: data.Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), 2, split),
+                  lambda: dataclasses.replace(ds, inputs=ds.inputs[:0], labels=ds.labels[:0]),
+                  lambda: take_uniform(ds, 0, np.random.default_rng(0))):
+        with pytest.raises(InputError, match=f"^empty {split} split$"):
+            build()
 
 
 def test_train_refuses_to_augment_rows_that_are_not_cifar_images(monkeypatch):
@@ -491,13 +481,6 @@ def test_evaluate_shuffle_invariant(make_blobs):
     shuffled = dataclasses.replace(test_ds, inputs=test_ds.inputs[perm],
                                    labels=test_ds.labels[perm])
     assert evaluate(net, test_ds)[0] == evaluate(net, shuffled)[0]
-
-
-def test_evaluate_empty_dataset():
-    from ressmooth.data import Dataset
-    net = build_network([4, 2])
-    with pytest.raises(InputError):
-        evaluate(net, Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), 2, "test"))
 
 
 # --- summaries and trials ------------------------------------------------------------

@@ -1,4 +1,9 @@
 import ast
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import ressmooth
@@ -8,6 +13,7 @@ from ressmooth.config import DATASETS
 from ressmooth.smoothing import MODES
 
 PACKAGE = Path(ressmooth.__file__).parent
+CHECKOUT = Path(__file__).resolve().parent.parent
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
@@ -95,6 +101,7 @@ STEP_PATH = {
     "data": ("batches", "features", "augment_batch"),
     "optim": ("lr_at", "label_smooth"),
     "nn": ("forward_batch", "backward_batch"),
+    "harness": ("evaluate",),
 }
 
 
@@ -119,3 +126,23 @@ def test_the_cli_holds_no_run_setting_of_its_own():
         set_by_cli = {name: value for name, value in args.items()
                       if value is not None and name not in ("command", "config", "out_dir")}
         assert set_by_cli == {}
+
+
+def test_a_traced_benchmark_run_reads_every_per_layer_metric_above_zero(tmp_path):
+    # the benchmark times a function by patching its module attribute, so a package call
+    # that reaches it by another reference is not timed and its metric reads 0, not an error
+    shutil.copy(CHECKOUT / "BENCHMARK.json", tmp_path)
+    shutil.copytree(CHECKOUT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("cache", "out", "__pycache__"))
+    shutil.copytree(PACKAGE, tmp_path / "src" / "ressmooth",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "fashion_train", "--seed", "5",
+         "--seconds", "0", "--trace", "1", "--size", "tiny"],
+        cwd=tmp_path, env={**os.environ, "XDG_CACHE_HOME": str(tmp_path / "xdg")},
+        capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+    listed = [m["name"] for m in json.loads((CHECKOUT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert {name: metrics[name]["value"] for name in listed
+            if metrics[name]["value"] <= 0} == {}

@@ -3,8 +3,9 @@
 Each test builds a valid file, then truncates it, flips one bit, appends
 junk, rewrites one header word, or leaves it intact, and reads it back. The
 reader must either return a result that re-encodes to exactly the bytes it
-read (so nothing was skipped, padded or ignored), or raise FormatError; any
-other exception fails the test. An intact file must load.
+read (so nothing was skipped, padded or ignored), or raise FormatError, or
+InputError exactly when the files it read hold no rows; any other exception
+fails the test. An intact file of one row or more must load.
 """
 
 import gzip
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ressmooth.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, load_cifar10_bin, load_idx
-from ressmooth.errors import FormatError
+from ressmooth.errors import FormatError, InputError
 from ressmooth.nn import CHECKPOINT_MAGIC, build_network, load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
@@ -68,7 +69,7 @@ def _idx_pairs(draw):
 
 @FUZZ
 @given(pair=_idx_pairs(), gzipped=st.booleans())
-@example(pair=(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 28, 28),  # zero count: a (0, 784) split
+@example(pair=(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 28, 28),  # zero count: an empty split
                struct.pack(">II", IDX_LABEL_MAGIC, 0), True), gzipped=False)
 @example(pair=(struct.pack(">IIII", IDX_IMAGE_MAGIC, 1, 2, 2) + bytes(4),
                struct.pack(">II", IDX_LABEL_MAGIC, 1) + bytes(2), False),  # one extra label byte
@@ -80,8 +81,12 @@ def test_idx_pair_round_trips_or_is_a_format_error(fuzz_dir, pair, gzipped):
     except FormatError:
         assert not intact
         return
+    except InputError as exc:  # well-formed files of no item
+        assert str(exc) == "empty train split"
+        assert struct.unpack_from(">II", images)[1] == struct.unpack_from(">II", labels)[1] == 0
+        return
     _, count, rows, cols = struct.unpack_from(">IIII", images)
-    assert ds.inputs.shape == (count, rows * cols)
+    assert count > 0 and ds.inputs.shape == (count, rows * cols)
     assert images == struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols) + ds.inputs.tobytes()
     assert labels == struct.pack(">II", IDX_LABEL_MAGIC, count) + ds.labels.astype(np.uint8).tobytes()
 
@@ -101,8 +106,12 @@ def test_cifar_records_round_trip_or_are_a_format_error(fuzz_dir, data, sizes, g
     except FormatError:
         assert damaged != files
         return
+    except InputError as exc:  # whole records, but none of them
+        assert str(exc) == "empty train split"
+        assert b"".join(damaged) == b""
+        return
     records = np.concatenate([ds.labels[:, None].astype(np.uint8), ds.inputs], axis=1)
-    assert records.tobytes() == b"".join(damaged)
+    assert len(records) > 0 and records.tobytes() == b"".join(damaged)
 
 
 def _checkpoint_bytes(pairs):
