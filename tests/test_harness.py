@@ -371,6 +371,23 @@ def test_an_empty_split_is_refused_where_it_is_built(make_blobs, split):
             build()
 
 
+def test_train_rejects_an_empty_test_split_before_any_step(make_blobs, monkeypatch):
+    # the empty test split is refused while the pair is made, so no step is taken
+    train_ds, test_ds = blob_pair(make_blobs)
+    steps = []
+
+    class Counter:
+        def step(self, *args):
+            steps.append(args)
+
+    monkeypatch.setattr(optim, "make_optimizer", lambda config, network: Counter())
+    with pytest.raises(InputError, match="^empty test split$"):
+        empty = dataclasses.replace(test_ds, inputs=test_ds.inputs[:0],
+                                    labels=test_ds.labels[:0])
+        train(blob_config(), 0, (train_ds, empty))
+    assert steps == []
+
+
 def test_train_refuses_to_augment_rows_that_are_not_cifar_images(monkeypatch):
     """`augment` crops [n, 3072] CIFAR rows; an in-memory pair of other rows is
     refused with the pair checks, before the network is built."""
@@ -481,6 +498,13 @@ def test_evaluate_shuffle_invariant(make_blobs):
     shuffled = dataclasses.replace(test_ds, inputs=test_ds.inputs[perm],
                                    labels=test_ds.labels[perm])
     assert evaluate(net, test_ds)[0] == evaluate(net, shuffled)[0]
+
+
+def test_evaluate_empty_dataset():
+    from ressmooth.data import Dataset
+    net = build_network([4, 2])
+    with pytest.raises(InputError, match="^empty test split$"):
+        evaluate(net, Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), 2, "test"))
 
 
 # --- summaries and trials ------------------------------------------------------------
