@@ -12,8 +12,8 @@ trailer. A clean inflate is kept in $XDG_CACHE_HOME/ressmooth as
 <length>-<crc32>-<isize>: the file's bytes, then the decoded ones. A later load
 reads it back only when that copy equals the file and the rest has the trailer's
 length and CRC-32; past _CACHE_BYTES, the least recently used entries go. The
-loaders return the raw uint8 pixel codes (the IDX one, and a one-file CIFAR one,
-a read-only view of the decoded bytes), and the codes stay codes through
+loaders return the raw uint8 pixel and label codes (the IDX ones, and a one-file
+CIFAR one's, read-only views of the decoded bytes), and the codes stay codes through
 subsetting, batching and augmentation: `features` turns one batch or one
 evaluation chunk at a time into float64 features in [0, 1] by /255, with no
 further normalization. `augment_batch` pads, crops and mirrors a whole batch of
@@ -45,17 +45,18 @@ _MAX_DEFLATE_RATIO = 1032
 _CACHE_BYTES = 1 << 30
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """A split of n >= 1 rows of N >= 1 features, checked here, where every split is built."""
+    """A frozen split of n >= 1 rows of N >= 1 features, checked here, where each is built."""
     inputs: np.ndarray  # [n, N] uint8 pixel codes, scaled per batch by `features`,
     #                     or float features of at most 64 bits, checked finite here
-    labels: np.ndarray  # [n] integers, each in [0, class_count)
-    class_count: int  # >= 2: a residual is smoothed across the classes
+    labels: np.ndarray  # [n] integers, each in [0, class_count); uint8 codes from a loader
+    class_count: int  # an integer >= 2: a residual is smoothed across the classes
     split: str = "train"
 
     def __post_init__(self):
-        if self.labels.ndim != 1 or self.labels.dtype.kind not in "iu" or self.class_count < 2:
+        if (self.labels.ndim != 1 or self.labels.dtype.kind not in "iu"
+                or not isinstance(self.class_count, int | np.integer) or self.class_count < 2):
             raise InputError(f"{self.split} split holds {self.labels.dtype} labels of shape "
                              f"{self.labels.shape} for {self.class_count} classes, not [n] "
                              "integer labels for two or more classes")
@@ -223,10 +224,10 @@ def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
-    """Load an IDX image/label file pair (gzipped or raw) as uint8 codes: a
-    read-only view of the decoded image bytes."""
+    """Load an IDX image/label file pair (gzipped or raw) as uint8 codes, labels
+    and pixels both: read-only views of the decoded bytes."""
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
-    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1).astype(np.int64)
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     count, rows, cols = images.shape
     if labels.size != count:
         raise FormatError(f"{labels_path}: {labels.size} labels for {count} images")
@@ -238,7 +239,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
 
 def load_cifar10_bin(paths, split: str = "train") -> Dataset:
     """Load and concatenate one or more CIFAR-10 binary batch files, in order,
-    as uint8 codes: the inputs are a view of the records past the label byte."""
+    as uint8 codes: the labels and inputs are views of the records' label bytes and the rest."""
     parts = []
     for path in paths:
         raw = _read_maybe_gzip(path)
@@ -251,7 +252,7 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
                               f"at offset {bad[0] * CIFAR_RECORD_BYTES}")
         parts.append(part)
     records = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return Dataset(records[:, 1:], records[:, 0].astype(np.int64), 10, split)
+    return Dataset(records[:, 1:], records[:, 0], 10, split)
 
 
 def features(rows: np.ndarray) -> np.ndarray:

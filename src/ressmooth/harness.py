@@ -160,17 +160,16 @@ def train(config: ExperimentConfig, trial_seed: int, dataset_pair):
 
 
 def evaluate(network: nn.Network, dataset: data_mod.Dataset):
-    """(accuracy percent, mean plain squared-error loss) on a dataset, non-empty as every
-    `Dataset` is; the predicted class is the first index attaining the output maximum."""
-    eye = np.eye(dataset.class_count)
+    """(accuracy percent, mean plain squared-error loss) on a dataset; the predicted class is the
+    first index attaining the output maximum, the residual the output less 1 at the label."""
     correct = 0
     loss_sum = 0.0
     for start in range(0, dataset.n, _EVAL_CHUNK):
         xb = data_mod.features(dataset.inputs[start:start + _EVAL_CHUNK])
         lb = dataset.labels[start:start + _EVAL_CHUNK]
-        preds = nn.forward_batch(network, xb)[-1]
-        correct += int((np.argmax(preds, axis=1) == lb).sum())
-        r = preds - eye[lb]
+        r = nn.forward_batch(network, xb)[-1]
+        correct += int((np.argmax(r, axis=1) == lb).sum())
+        r[np.arange(lb.size), lb] -= 1.0
         loss_sum += float(np.einsum("bj,bj->b", r, r).sum())
     return 100.0 * correct / dataset.n, loss_sum / dataset.n
 

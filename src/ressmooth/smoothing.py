@@ -58,16 +58,10 @@ def sigmoid_scale(x, s: float, alpha: float) -> np.ndarray:
 
 
 def batch_normalize(d_rows: np.ndarray) -> np.ndarray:
-    """Row-wise mean-0 / population-std-1 normalization, the std clamped
-    below by EPS_STD."""
-    # a row mean is its sum divided by the count, bitwise, as np.mean computes it
-    m = d_rows.shape[1]
-    mu = d_rows.sum(axis=1, keepdims=True)
-    mu /= m
-    centered = d_rows - mu
-    var = (centered * centered).sum(axis=1, keepdims=True)
-    var /= m
-    centered /= np.maximum(np.sqrt(var, out=var), EPS_STD)
+    """Row-wise mean-0 / population-std-1 normalization, the std (numpy's row mean
+    of the squared deviations, square-rooted) clamped below by EPS_STD."""
+    centered = d_rows - d_rows.mean(axis=1, keepdims=True)
+    centered /= np.maximum(np.sqrt((centered * centered).mean(axis=1, keepdims=True)), EPS_STD)
     return centered
 
 

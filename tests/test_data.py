@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import hashlib
 import os
@@ -46,7 +47,8 @@ def test_load_idx_round_trip_bit_exact(tmp_path):
     ds = load_idx(tmp_path / "i.gz", tmp_path / "l.gz")
     assert ds.inputs.dtype == np.uint8
     assert np.array_equal(ds.inputs, images.reshape(10, 784))
-    assert np.array_equal(ds.labels, labels.astype(np.int64))
+    assert ds.labels.dtype == np.uint8  # the codes as decoded, like the pixels
+    assert np.array_equal(ds.labels, labels)
 
 
 def test_load_idx_accepts_raw_and_gzip(tmp_path):
@@ -117,7 +119,7 @@ def test_load_cifar_single_record(tmp_path):
     ds = load_cifar10_bin([path])
     assert ds.n == 1
     assert ds.labels.tolist() == [3]
-    assert ds.inputs.dtype == np.uint8
+    assert ds.labels.dtype == ds.inputs.dtype == np.uint8
     assert np.array_equal(ds.inputs, np.full((1, 3072), 255, np.uint8))
 
 
@@ -688,12 +690,24 @@ def test_a_dataset_is_built_exactly_when_its_whole_rule_holds(
     (np.zeros(4), 10),
     (np.zeros(4, np.bool_), 10),
     (np.zeros(4, np.int64), 1),  # a residual of one element has nothing to smooth across
-], ids=["column", "float", "bool", "one-class"])
+    (np.zeros(4, np.int64), 2.5),  # a count of classes is an integer
+    (np.zeros(4, np.int64), "2"),
+], ids=["column", "float", "bool", "one-class", "fractional-count", "string-count"])
 def test_dataset_refuses_labels_that_are_not_integers_of_two_or_more_classes(labels,
                                                                            class_count):
     with pytest.raises(InputError, match=r"^test split holds \w+ labels of shape \(4,( 1)?\) "
                                          rf"for {class_count} classes, not \[n\] integer"):
         Dataset(np.zeros((4, 2)), labels, class_count, "test")
+
+
+def test_a_dataset_is_frozen_so_no_field_gets_past_its_check():
+    d = Dataset(np.zeros((8, 3)), np.zeros(8, np.uint8), 2)
+    for field in dataclasses.fields(d):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, field.name, getattr(d, field.name))
+    with pytest.raises(ShapeError, match=r"^inputs of shape \(8, 0\), not \[8, N\] with N >= 1$"):
+        dataclasses.replace(d, inputs=np.zeros((8, 0)))
+    assert d.inputs.shape == (8, 3)
 
 
 def test_features_scale_codes_and_pass_floats_through():

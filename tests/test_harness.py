@@ -500,6 +500,37 @@ def test_evaluate_shuffle_invariant(make_blobs):
     assert evaluate(net, test_ds)[0] == evaluate(net, shuffled)[0]
 
 
+def _evaluate_against_one_hot_rows(network, dataset):
+    """`evaluate` as written with one-hot target rows, over the same 1,024-row chunks."""
+    eye = np.eye(dataset.class_count)
+    correct, loss_sum = 0, 0.0
+    for start in range(0, dataset.n, 1024):
+        lb = dataset.labels[start:start + 1024]
+        preds = nn.forward_batch(network, features(dataset.inputs[start:start + 1024]))[-1]
+        correct += int((np.argmax(preds, axis=1) == lb).sum())
+        r = preds - eye[lb]
+        loss_sum += float(np.einsum("bj,bj->b", r, r).sum())
+    return 100.0 * correct / dataset.n, loss_sum / dataset.n
+
+
+@pytest.mark.parametrize("output_activation", ["softmax", "identity"])
+@pytest.mark.parametrize("class_count", [2, 10, 100])
+@pytest.mark.parametrize("codes", [True, False], ids=["uint8", "float"])
+def test_evaluate_equals_the_one_hot_oracle_bit_for_bit(codes, class_count, output_activation):
+    rng = np.random.default_rng(class_count)
+    net = build_network([12, 16, class_count], output_activation, rng)
+    for n in (1, 1023, 1024, 1025, 2049):  # one chunk, chunk edges, a short third chunk
+        if codes:
+            ds = data.Dataset(rng.integers(0, 256, (n, 12), dtype=np.uint8),
+                              rng.integers(0, class_count, n, dtype=np.uint8), class_count)
+        else:
+            ds = data.Dataset(rng.normal(size=(n, 12)), rng.integers(0, class_count, n),
+                              class_count)
+        acc, loss = evaluate(net, ds)
+        want_acc, want_loss = _evaluate_against_one_hot_rows(net, ds)
+        assert (acc.hex(), loss.hex()) == (want_acc.hex(), want_loss.hex()), n
+
+
 def test_evaluate_empty_dataset():
     from ressmooth.data import Dataset
     net = build_network([4, 2])
