@@ -53,7 +53,6 @@ def _load_config(args):
 def _cmd_train(args) -> int:
     config, out = _load_config(args)
     aggregate = harness.run_trials(config)
-    out.mkdir(parents=True, exist_ok=True)
     for row, metrics, network in zip(aggregate.rows, aggregate.metrics, aggregate.networks):
         harness.write_metrics_csv(metrics, out / f"metrics_trial{row.trial}.csv")
         nn.save_checkpoint(network, out / f"checkpoint_trial{row.trial}.rsm")
@@ -71,7 +70,6 @@ def _cmd_grid(args) -> int:
     alpha_values = ((config.smoothing.alpha,) if args.alpha_grid is None
                     else float_list(args.alpha_grid, "--alpha-grid", None))
     rows, (b, alpha, mean_max_val_acc) = harness.grid_search(config, b_values, alpha_values)
-    out.mkdir(parents=True, exist_ok=True)
     harness.write_aggregate_csv(rows, out / "grid.csv")
     print(f"grid points: {len(b_values) * len(alpha_values)}")
     print(f"best b={b:g} alpha={alpha:g} mean max val acc: {mean_max_val_acc:.6f}")

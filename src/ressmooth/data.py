@@ -23,11 +23,11 @@ CIFAR rows; the per-image reference it is tested against lives in the tests
 
 import contextlib
 import gzip
+import itertools
 import math
 import os
 import re
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -173,23 +173,29 @@ def _read_entry(entry, f, length, out, crc) -> bool:
         return False
 
 
-def _write_entry(entry, f, out):
-    """Store the open file's bytes and their verified inflate as the cache entry,
-    through a temp file and os.replace, then delete the other entries with the
-    oldest mtimes until the cache fits _CACHE_BYTES. An OSError ends the store,
-    leaving no temp file."""
-    folder, tmp = os.path.dirname(entry), None
+def write_whole(path, parts):
+    """Write the byte parts as the file at `path`, whole or not at all: make its folder, write
+    them to `<path>.<pid>.tmp` beside it, opened "wb" so it takes the umask mode, and
+    `os.replace` the target. On any exception, delete the temp file and re-raise."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        os.makedirs(folder, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=folder)
-        with open(fd, "wb") as cached:
-            f.seek(0)
-            while piece := f.read(_GZIP_PIECE):
-                cached.write(piece)
-            cached.write(out)
-        os.replace(tmp, entry)
-        tmp = None
-        with os.scandir(folder) as found:  # entries, and sha256-named older ones; no temp files
+        with open(tmp, "wb") as f:
+            f.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_entry(entry, f, out):
+    """Store the open file's bytes, then their verified inflate, as the entry via `write_whole`,
+    then delete the other entries, oldest mtime first, to fit _CACHE_BYTES; an OSError ends it."""
+    with contextlib.suppress(OSError):
+        f.seek(0)
+        write_whole(entry, itertools.chain(iter(lambda: f.read(_GZIP_PIECE), b""), [out]))
+        with os.scandir(os.path.dirname(entry)) as found:  # entries, sha256-named older ones
             entries = sorted((e.stat().st_mtime_ns, e.path, e.stat().st_size) for e in found
                              if re.fullmatch(r"\d+-[0-9a-f]{8}-\d+|[0-9a-f]{64}", e.name))
         excess = sum(size for *_, size in entries) - _CACHE_BYTES
@@ -197,10 +203,6 @@ def _write_entry(entry, f, out):
             if excess > 0 and path != entry:
                 os.unlink(path)
                 excess -= size
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
 
 
 def _read_idx(path, magic: int, ndim: int) -> np.ndarray:

@@ -67,7 +67,8 @@ class TrialAggregate:
 
 
 def load_split(ds: DatasetSpec, split: str) -> data_mod.Dataset:
-    """The "train" or "test" split as uint8 codes; the loader is called by name, as a density is."""
+    """The "train" or "test" split as uint8 codes. The loader is called by name, as a density is,
+    so a tracer's wrapper runs: perfbench's `data.load_idx.s` reads that call."""
     loader, keys = DATASETS[ds.kind]
     files = [getattr(ds, key) for key in keys if key.startswith(split)]
     return getattr(data_mod, loader.__name__)(*files, split)
@@ -256,8 +257,7 @@ def _write_rows(rows, header, path):
     for row in rows:
         lines.append(",".join(str(getattr(row, f.name)) if f.type is int
                               else f"{getattr(row, f.name):.6f}" for f in fields(row)))
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    data_mod.write_whole(path, [("\n".join(lines) + "\n").encode()])
 
 
 def write_metrics_csv(metrics, path):

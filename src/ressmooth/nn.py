@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from . import data
 from .errors import FormatError, ShapeError
 
 OUTPUT_ACTIVATIONS = ("softmax", "identity")
@@ -116,17 +117,15 @@ def backward_batch(network: Network, acts: list, dl_dout: np.ndarray,
 
 
 def save_checkpoint(network: Network, path):
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(network.weights)))
-        for w, b in zip(network.weights, network.biases):
-            f.write(struct.pack("<II", *w.shape))
-            f.write(w.astype("<f8").tobytes(order="C"))
-            f.write(b.astype("<f8").tobytes())
+    """Write the checkpoint through `data.write_whole`, from the parameters' own views."""
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(network.weights))]
+    for w, b in zip(network.weights, network.biases):
+        parts += [struct.pack("<II", *w.shape), *(a.astype("<f8", copy=False) for a in (w, b))]
+    data.write_whole(path, parts)
 
 
 def load_checkpoint(path):
-    """Read back the (weights, bias) pairs written by `save_checkpoint`."""
+    """The (weights, bias) pairs `save_checkpoint` wrote: read-only little-endian views."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -143,10 +142,8 @@ def load_checkpoint(path):
             if offset + w_bytes + out_dim * 8 > len(raw):
                 raise FormatError(f"checkpoint truncated at offset {offset} in {path}")
             w = np.frombuffer(raw, "<f8", out_dim * in_dim, offset).reshape(out_dim, in_dim)
-            offset += w_bytes
-            b = np.frombuffer(raw, "<f8", out_dim, offset)
-            offset += out_dim * 8
-            pairs.append((w.astype(np.float64), b.astype(np.float64)))
+            pairs.append((w, np.frombuffer(raw, "<f8", out_dim, offset + w_bytes)))
+            offset += w_bytes + out_dim * 8
     except struct.error as exc:
         raise FormatError(f"checkpoint truncated at offset {offset} in {path}") from exc
     if offset != len(raw):

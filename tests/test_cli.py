@@ -1,9 +1,15 @@
+import os
 import re
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_idx_pair
+import ressmooth
 from ressmooth import data, nn
 from ressmooth.cli import main
 
@@ -67,6 +73,25 @@ def test_train_repeat_is_byte_identical(tiny_corpus, tmp_path):
     for name in ("metrics_trial0.csv", "metrics_trial1.csv", "aggregate.csv",
                  "checkpoint_trial0.rsm", "checkpoint_trial1.rsm"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_a_train_under_a_umask_writes_every_file_in_its_mode_and_no_temp(tiny_corpus,
+                                                                         tmp_path):
+    # a new out-dir, made at the first write; the cache entries of the four gzip files
+    out, xdg = tmp_path / "new" / "out", tmp_path / "xdg"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, sys; os.umask(0o027); from ressmooth.cli import main; "
+         f"sys.exit(main(['train', '--config', {str(tiny_corpus)!r}, '--out-dir', {str(out)!r}]))"],
+        env={**os.environ, "PYTHONPATH": str(Path(ressmooth.__file__).resolve().parents[1]),
+             "XDG_CACHE_HOME": str(xdg)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(out.iterdir()) + sorted((xdg / "ressmooth").iterdir())
+    assert [p.name for p in written[:5]] == [
+        "aggregate.csv", "checkpoint_trial0.rsm", "checkpoint_trial1.rsm",
+        "metrics_trial0.csv", "metrics_trial1.csv"]
+    assert len(written) == 9 and not [p for p in written if p.name.endswith(".tmp")]
+    assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in written} == {
+        p.name: oct(0o640) for p in written}
 
 
 def test_seed_override_changes_outputs(tiny_corpus, tmp_path):
