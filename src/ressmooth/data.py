@@ -65,8 +65,10 @@ class Dataset:
         if self.inputs.ndim != 2 or len(self.inputs) != len(self.labels) or not self.inputs.size:
             raise ShapeError(f"inputs of shape {self.inputs.shape}, "
                              f"not [{len(self.labels)}, N] with N >= 1")
-        if int(self.labels.min()) < 0 or int(self.labels.max()) >= self.class_count:
-            raise InputError("label out of range")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.class_count))
+        if bad.size:
+            raise InputError(f"label out of range: row {bad[0]} of the {self.split} split "
+                             f"holds {self.labels[bad[0]]}, not in [0, {self.class_count})")
         if self.inputs.dtype.str[1:] not in ("u1", "f2", "f4", "f8"):  # any byte order
             raise InputError(f"{self.split} split holds {self.inputs.dtype} inputs, "
                              "neither uint8 pixel codes nor float features of at most 64 bits")

@@ -46,9 +46,9 @@ class AdamConfig:
 
     def __post_init__(self):
         if not (self.lr > 0.0 and self.eps > 0.0):
-            raise ConfigError("lr and eps must be > 0")
+            raise ConfigError(f"lr and eps must be > 0, got {self.lr}, {self.eps}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must be in [0, 1)")
+            raise ConfigError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class AdaGradConfig:
 
     def __post_init__(self):
         if not (self.lr > 0.0 and self.eps > 0.0):
-            raise ConfigError("lr and eps must be > 0")
+            raise ConfigError(f"lr and eps must be > 0, got {self.lr}, {self.eps}")
 
 
 def lr_at(config: SgdConfig, progress: float) -> float:

@@ -42,19 +42,10 @@ class SmoothingConfig:
             raise ConfigError(f"local_scale must be in [0, 1], got {self.local_scale}")
 
 
-def sigmoid_scale(x, s: float, alpha: float) -> np.ndarray:
-    """s / (1 + exp(-alpha * x)), elementwise and overflow-safe."""
-    z = np.multiply(alpha, x, out=np.empty(np.shape(x)))  # an array even for a scalar x
-    # s * exp(min(z, 0)) / (1 + exp(-|z|)) with one exp: exp(min(z, 0)) is
-    # exp(-|z|) where z < 0 and 1 elsewhere, bitwise; neither overflows
-    nonneg = z >= 0.0
-    e = np.copysign(z, -1.0, out=z)  # -|z|
-    np.exp(e, out=e)
-    out = np.maximum(e, nonneg)
-    out *= s
-    e += 1.0
-    out /= e
-    return out
+def sigmoid_scale(x: np.ndarray, s: float, alpha: float) -> np.ndarray:
+    """s / (1 + exp(-z)) at z = alpha * x, overflow-safe: s * exp(min(z, 0)) / (1 + exp(-|z|))."""
+    z = alpha * x
+    return s * np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def batch_normalize(d_rows: np.ndarray) -> np.ndarray:

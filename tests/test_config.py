@@ -87,6 +87,19 @@ def test_unknown_key_is_fatal(old, new, message):
         parse_config_text(GOOD.replace(old, new))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("take = 10000", "take = -1", r"^take must be >= 0, got -1$"),
+    ("hidden = 256", "hidden = 4, 0", r"^hidden widths must be >= 1, got \(4, 0\)$"),
+    ("epochs = 15", "epochs = 0", r"^epochs must be >= 1, got 0$"),
+    ("trials = 5", "trials = 0", r"^trials must be >= 1, got 0$"),
+    ("momentum = 0.9", "momentum = 0.9\ndrop_at = 1.5", r"^drop_at must be in \[0, 1\], got 1.5$"),
+    ("seed = 7", "seed = 7\naugment = maybe", r"^\[dataset\] augment = 'maybe' is not a boolean$"),
+], ids=["take", "hidden", "epochs", "trials", "drop_at", "augment"])
+def test_a_value_out_of_its_range_is_refused_with_the_value(old, new, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(GOOD.replace(old, new))
+
+
 # configparser would copy [DEFAULT]'s keys into every section; here it is
 # one more section the schema does not know
 @pytest.mark.parametrize("section, key", [("extras", "x = 1"), ("DEFAULT", "take = 5")],

@@ -72,6 +72,15 @@ def test_load_idx_bad_magic_reports_offset(tmp_path):
         load_idx(tmp_path / "i", tmp_path / "ok_l")
 
 
+def test_load_idx_zero_dims_report_offset(tmp_path):
+    (tmp_path / "i").write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 1, 28, 0))
+    write_idx_pair(np.zeros((1, 2, 2), np.uint8), np.zeros(1, np.uint8),
+                   tmp_path / "ok_i", tmp_path / "ok_l", gzipped=False)
+    with pytest.raises(FormatError) as exc:
+        load_idx(tmp_path / "i", tmp_path / "ok_l")
+    assert str(exc.value) == f"{tmp_path / 'i'}: bad dims 28x0 at offset 8"
+
+
 def test_load_idx_truncated_is_an_error_not_a_crash(tmp_path):
     write_idx_pair(np.zeros((4, 28, 28), np.uint8), np.zeros(4, np.uint8),
                    tmp_path / "i", tmp_path / "l", gzipped=False)
@@ -396,6 +405,38 @@ def test_an_unusable_cache_location_leaves_the_load_as_it_was(tmp_path, monkeypa
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_without_xdg_cache_home_the_entry_goes_under_the_home_cache(tmp_path, monkeypatch):
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    (tmp_path / "home").mkdir()
+    payload = _gz_file(tmp_path / "f.gz")
+    assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == payload
+    assert _entry(tmp_path / "home" / ".cache", tmp_path / "f.gz").stat().st_size == \
+        _entry_size(tmp_path / "f.gz")
+    _no_inflate(monkeypatch)
+    assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == payload
+
+
+def test_a_decoded_size_it_cannot_allocate_goes_to_gzip_decompress(tmp_path, cache,
+                                                                    monkeypatch):
+    payload = _gz_file(tmp_path / "f.gz")
+    empty, decompress, sizes = np.empty, gzip.decompress, []
+
+    def no_room_for_the_trailer_size(shape, *args, **kwargs):
+        if shape == len(payload):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    def recording(blob):
+        sizes.append(len(blob))
+        return decompress(blob)
+    monkeypatch.setattr(data.np, "empty", no_room_for_the_trailer_size)
+    monkeypatch.setattr(data.gzip, "decompress", recording)
+    assert data._read_maybe_gzip(tmp_path / "f.gz") == payload
+    assert sizes == [(tmp_path / "f.gz").stat().st_size]
+    assert not cache.exists()
+
+
 def test_a_cifar_batch_loads_identically_through_a_warm_entry(tmp_path, cache, monkeypatch):
     write_cifar(tmp_path / "c.bin", [3, 7, 0], pixel_value=200)
     (tmp_path / "c.bin.gz").write_bytes(gzip.compress((tmp_path / "c.bin").read_bytes()))
@@ -656,6 +697,18 @@ def test_dataset_validation():
         assert Dataset(np.zeros((2, 2), dtype), np.zeros(2, np.int64), 10).feature_count == 2
     for dtype in (np.uint8, np.int32, np.int64):
         assert Dataset(np.zeros((2, 2)), np.array([0, 1], dtype), 2).n == 2
+
+
+@pytest.mark.parametrize("labels, class_count, split, message", [
+    (np.array([0, 5, 1]), 2, "train", r"row 1 of the train split holds 5, not in \[0, 2\)"),
+    (np.array([-1, 0, 1]), 2, "test", r"row 0 of the test split holds -1, not in \[0, 2\)"),
+    (np.array([0, 1, 9, 12], np.uint8), np.int64(3), "test",
+     r"row 2 of the test split holds 9, not in \[0, 3\)"),
+], ids=["above", "negative", "first-of-two"])
+def test_a_label_out_of_range_is_named_with_its_split_row_and_range(labels, class_count,
+                                                                    split, message):
+    with pytest.raises(InputError, match=f"^label out of range: {message}$"):
+        Dataset(np.zeros((len(labels), 2)), labels, class_count, split)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

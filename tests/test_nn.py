@@ -242,6 +242,13 @@ def test_load_parameters_shape_mismatch(tmp_path):
         load_parameters(build_network([4, 3]), load_checkpoint(path))
 
 
+def test_load_parameters_layer_count_mismatch(tmp_path):
+    path = tmp_path / "net.rsm"
+    save_checkpoint(random_net([4, 2], seed=17), path)
+    with pytest.raises(ShapeError, match=r"^checkpoint has 1 layers, network has 2$"):
+        load_parameters(build_network([4, 3, 2]), load_checkpoint(path))
+
+
 # --- the flat parameter layout -------------------------------------------------------
 
 def _offset(view, flat):

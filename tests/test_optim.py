@@ -264,6 +264,19 @@ def test_adagrad_config_validation():
         AdaGradConfig(lr=-1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: AdamConfig(lr=-1.0), r"^lr and eps must be > 0, got -1.0, 1e-08$"),
+    (lambda: AdamConfig(eps=0.0), r"^lr and eps must be > 0, got 0.001, 0.0$"),
+    (lambda: AdamConfig(beta2=1.0), r"^betas must be in \[0, 1\), got 0.9, 1.0$"),
+    (lambda: AdamConfig(beta1=-0.5), r"^betas must be in \[0, 1\), got -0.5, 0.999$"),
+    (lambda: AdaGradConfig(lr=-1.0), r"^lr and eps must be > 0, got -1.0, 1e-10$"),
+    (lambda: AdaGradConfig(eps=0.0), r"^lr and eps must be > 0, got 0.005, 0.0$"),
+], ids=["adam_lr", "adam_eps", "adam_beta2", "adam_beta1", "adagrad_lr", "adagrad_eps"])
+def test_adam_and_adagrad_refusals_name_their_values(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
 # --- factory ---------------------------------------------------------------------------
 
 def test_make_optimizer_dispatch():
