@@ -11,7 +11,7 @@ A gzip file is inflated a piece at a time into one buffer sized from its ISIZE
 trailer. A clean inflate is kept in $XDG_CACHE_HOME/ressmooth as
 <length>-<crc32>-<isize>: the file's bytes, then the decoded ones. A later load
 reads it back only when that copy equals the file and the rest has the trailer's
-length and CRC-32; past _CACHE_BYTES, the least recently used entries go. The
+length and CRC-32, and writes nothing; past _CACHE_BYTES, the oldest stored go. The
 loaders return the raw uint8 pixel and label codes (the IDX ones, and a one-file
 CIFAR one's, read-only views of the decoded bytes), and the codes stay codes through
 subsetting, batching and augmentation: `features` turns one batch or one
@@ -30,7 +30,6 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -88,19 +87,18 @@ def _read_maybe_gzip(path):
     """The file's bytes, gunzipped when it starts with the gzip magic.
 
     A one-member stream is inflated into one buffer, or read from its cache
-    entry, and returned as a read-only view. Every stream that path does not
-    take to a verified end (damaged, multi-member, trailing bytes) goes to
-    `gzip.decompress`, so the result, or the cause of the `FormatError`, is
-    always the reference decoder's."""
+    entry, and returned as a read-only view. Any other stream (damaged, multi-member,
+    trailing bytes) is read again from the open file and goes to `gzip.decompress`, so
+    the result, or the cause of the `FormatError`, is always the reference decoder's,
+    and a load opens the file once."""
     with open(path, "rb", buffering=0) as f:  # so read() fills one buffer, uncopied
-        if f.read(2) != b"\x1f\x8b":
-            f.seek(0)
-            return f.read()
-        decoded = _inflate_one_member(f)
-    if decoded is not None:
-        return memoryview(decoded).toreadonly()
+        gzipped = f.read(2) == b"\x1f\x8b"
+        if gzipped and (decoded := _inflate_one_member(f)) is not None:
+            return memoryview(decoded).toreadonly()
+        f.seek(0)
+        raw = f.read()
     try:
-        return gzip.decompress(Path(path).read_bytes())
+        return gzip.decompress(raw) if gzipped else raw
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
 
@@ -124,8 +122,6 @@ def _inflate_one_member(f):
         return None
     entry = _cache_entry(compressed, crc, size)
     if entry is not None and _read_entry(entry, f, compressed, out, crc):
-        with contextlib.suppress(OSError):
-            os.utime(entry)  # a hit is a use: an entry's mtime is its last
         return out
     view = memoryview(out)
     f.seek(0)
@@ -193,13 +189,13 @@ def write_whole(path, parts):
 
 def _write_entry(entry, f, out):
     """Store the open file's bytes, then their verified inflate, as the entry via `write_whole`,
-    then delete the other entries, oldest mtime first, to fit _CACHE_BYTES; an OSError ends it."""
+    then delete other entries, oldest stored first, to fit _CACHE_BYTES; an OSError ends it."""
     with contextlib.suppress(OSError):
         f.seek(0)
         write_whole(entry, itertools.chain(iter(lambda: f.read(_GZIP_PIECE), b""), [out]))
-        with os.scandir(os.path.dirname(entry)) as found:  # entries, sha256-named older ones
+        with os.scandir(os.path.dirname(entry)) as found:  # entry names only
             entries = sorted((e.stat().st_mtime_ns, e.path, e.stat().st_size) for e in found
-                             if re.fullmatch(r"\d+-[0-9a-f]{8}-\d+|[0-9a-f]{64}", e.name))
+                             if re.fullmatch(r"\d+-[0-9a-f]{8}-\d+", e.name))
         excess = sum(size for *_, size in entries) - _CACHE_BYTES
         for _, path, size in entries:
             if excess > 0 and path != entry:

@@ -125,7 +125,7 @@ def save_checkpoint(network: Network, path):
 
 
 def load_checkpoint(path):
-    """The (weights, bias) pairs `save_checkpoint` wrote: read-only little-endian views."""
+    """Read-only little-endian views of the finite (weights, bias) pairs `save_checkpoint` wrote."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -141,8 +141,10 @@ def load_checkpoint(path):
             w_bytes = out_dim * in_dim * 8
             if offset + w_bytes + out_dim * 8 > len(raw):
                 raise FormatError(f"checkpoint truncated at offset {offset} in {path}")
-            w = np.frombuffer(raw, "<f8", out_dim * in_dim, offset).reshape(out_dim, in_dim)
-            pairs.append((w, np.frombuffer(raw, "<f8", out_dim, offset + w_bytes)))
+            values = np.frombuffer(raw, "<f8", out_dim * (in_dim + 1), offset)
+            if (bad := np.flatnonzero(~np.isfinite(values))).size:
+                raise FormatError(f"non-finite value at offset {offset + 8 * bad[0]} in {path}")
+            pairs.append((values[:w_bytes // 8].reshape(out_dim, in_dim), values[w_bytes // 8:]))
             offset += w_bytes + out_dim * 8
     except struct.error as exc:
         raise FormatError(f"checkpoint truncated at offset {offset} in {path}") from exc

@@ -159,6 +159,34 @@ def test_the_report_is_described_once_by_the_docstrings_output_paragraph(tmp_pat
         assert f"`{key}`" in report["about"], key
 
 
+def test_a_verdict_line_per_workload_and_end_to_end_metric_is_printed_at_exit(
+        tmp_path, monkeypatch, capsys):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+    change_run_s = {"many_class": 1.5, "grid_sweep": 3.0}
+
+    def run_once(checkout, workload, seed, seconds, trace, size):
+        side = "parent" if checkout == sides["parent"].resolve() else "change"
+        run_s = change_run_s[workload] if side == "change" else 2.0
+        return {"facts": {"src_lines": 1, "outputs_sha256": {"a": "0"}},
+                "metrics": {"run_s": run_s, "val_acc_max": 90.0, "optim.step.calls": 1.0},
+                "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                             "--workloads", "many_class,grid_sweep", "--pairs", "4",
+                             "--out", str(tmp_path / "BENCH.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * 4 + 4 and all(" pair " in line for line in lines[:8])
+    # BENCHMARK.json's order and units; a per-layer metric has no line
+    assert lines[8:] == ["many_class-seed17 run_s: 2 -> 1.5 s, 4/4 wins, gain",
+                         "many_class-seed17 val_acc_max: 90 -> 90 %, 0/4 wins, same",
+                         "grid_sweep-seed17 run_s: 2 -> 3 s, 0/4 wins, worse",
+                         "grid_sweep-seed17 val_acc_max: 90 -> 90 %, 0/4 wins, same"]
+
+
 def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, monkeypatch):
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for path in sides.values():

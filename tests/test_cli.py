@@ -136,6 +136,18 @@ def test_eval_of_a_mismatched_checkpoint_exits_nonzero(tiny_corpus, tmp_path, ca
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_of_a_checkpoint_holding_a_nan_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out), "--trials", "1"])
+    path = out / "checkpoint_trial0.rsm"
+    blob = bytearray(path.read_bytes())
+    blob[24:32] = np.float64(np.nan).tobytes()  # the second weight of the first layer
+    path.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(tiny_corpus), "--checkpoint", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: non-finite value at offset 24 in {path}\n")
+
+
 def test_eval_takes_only_config_and_checkpoint(tiny_corpus, tmp_path):
     for flag in (["--out-dir", str(tmp_path)], ["--seed", "1"], ["--trials", "1"]):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import re
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -275,6 +276,42 @@ def test_damaged_gzip_decodes_like_gzip_decompress_or_is_a_format_error(gz_path,
         assert _streamed(gz_path, blob, piece) == want
 
 
+_PAYLOAD = np.random.default_rng(30).integers(0, 256, 3000).astype(np.uint8).tobytes()
+_ONE = gzip.compress(_PAYLOAD, compresslevel=1, mtime=0)
+# streams the one-member path does not take to a verified end
+_FALLBACK_STREAMS = {"two-members": _ONE + gzip.compress(_PAYLOAD[::-1], mtime=0),
+                     "trailing-bytes": _ONE + b"junk", "truncated": _truncated(_ONE),
+                     "bad-block-type": _bad_block_type(_ONE), "bad-crc": _bad_crc(_ONE),
+                     "forged-isize": _ONE[:-4] + (1 << 20).to_bytes(4, "little")}
+
+
+@pytest.mark.parametrize("blob", _FALLBACK_STREAMS.values(), ids=_FALLBACK_STREAMS)
+def test_the_fallback_reads_the_file_it_has_open(tmp_path, monkeypatch, blob):
+    """A stream the one-member path refuses decodes as gzip.decompress does, or
+    fails with its FormatError, from the one open of the file."""
+    path = tmp_path / "f.gz"
+    path.write_bytes(blob)
+    opened, real_open = [], open
+
+    def refuse(*args):
+        raise AssertionError("read the file again")
+
+    def recording(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    monkeypatch.setattr(data, "open", recording, raising=False)
+    try:
+        want = gzip.decompress(blob)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        with pytest.raises(FormatError, match=re.escape(f"{path}: corrupt gzip stream: {exc}")):
+            data._read_maybe_gzip(path)
+    else:
+        assert data._read_maybe_gzip(path) == want
+    assert opened.count(path) == 1
+
+
 # --- cache of inflated files ------------------------------------------------------------
 
 def _gz_file(path, seed=29, size=5000):
@@ -480,7 +517,24 @@ def test_the_entry_just_stored_stays_past_the_cap(tmp_path, cache, monkeypatch):
         assert list((cache / "ressmooth").iterdir()) == [entry]
 
 
-def test_a_hit_outlives_older_entries(tmp_path, cache, monkeypatch):
+def test_a_hit_writes_nothing(tmp_path, cache, monkeypatch):
+    payload = _gz_file(tmp_path / "f.gz")
+    entry, = _stored(cache, tmp_path / "f.gz", mtimes=(1,))
+    before = entry.read_bytes(), entry.stat().st_mtime_ns
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("utime")
+
+    monkeypatch.setattr(data.os, "utime", refuse)
+    _no_inflate(monkeypatch)
+    for _ in range(3):
+        assert bytes(data._read_maybe_gzip(tmp_path / "f.gz")) == payload
+    assert (entry.read_bytes(), entry.stat().st_mtime_ns) == before
+    assert list(entry.parent.iterdir()) == [entry]
+
+
+def test_a_store_past_the_cap_deletes_the_oldest_stored_even_right_after_its_hit(
+        tmp_path, cache, monkeypatch):
     paths = [tmp_path / f"{k}.gz" for k in range(3)]
     for k, path in enumerate(paths):
         _gz_file(path, seed=k)
@@ -488,32 +542,27 @@ def test_a_hit_outlives_older_entries(tmp_path, cache, monkeypatch):
     first, second = _stored(cache, *paths[:2], mtimes=(1, 2))
     with monkeypatch.context() as hit_only:
         _no_inflate(hit_only)
-        _stored(cache, paths[0])  # a hit: its mtime is now, past the second's
-    assert first.stat().st_mtime_ns > second.stat().st_mtime_ns
+        _stored(cache, paths[0])  # a hit: its mtime stays its store time
     third, = _stored(cache, paths[2])
-    assert sorted((cache / "ressmooth").iterdir()) == sorted([first, third])
+    assert sorted((cache / "ressmooth").iterdir()) == sorted([second, third])
 
 
 def test_only_entry_names_are_pruned(tmp_path, cache, monkeypatch):
-    # a concurrent writer's mkstemp file and names that are no entry's neither
-    # count nor go, however old and large; an entry named by the sha256 of its
-    # file, as entries were before, counts and goes first
+    # a concurrent writer's mkstemp file, names that are no entry's and an
+    # entry named by the sha256 of its file, as entries of earlier versions
+    # were, neither count nor go, however old and large
     folder = cache / "ressmooth"
     folder.mkdir(parents=True)
     others = [folder / "tmpa1b2c3d4", folder / ("g" * 64), folder / ("A" * 64),
-              folder / "5023-ABCDEF01-5000"]
+              folder / "5023-ABCDEF01-5000", folder / ("0f" * 32)]
     for other in others:
         other.write_bytes(bytes(20000))
         os.utime(other, ns=(0, 0))
-    sha256_named = folder / ("0f" * 32)
-    sha256_named.write_bytes(bytes(100))
-    os.utime(sha256_named, ns=(0, 0))
     _gz_file(tmp_path / "0.gz", seed=0)
     _gz_file(tmp_path / "1.gz", seed=1)
-    # the two entries fill the cap, so the sha256 one alone puts it past
+    # the two entries fill the cap, so any other name that counted would put it past
     monkeypatch.setattr(data, "_CACHE_BYTES", 2 * _entry_size(tmp_path / "0.gz"))
     first, = _stored(cache, tmp_path / "0.gz", mtimes=(1,))
-    assert sha256_named.exists()
     second, = _stored(cache, tmp_path / "1.gz")
     assert sorted(folder.iterdir()) == sorted([first, second, *others])
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,27 @@ def test_checkpoint_trailing_bytes(tmp_path):
     end = path.stat().st_size
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(FormatError, match=f"4 trailing bytes at offset {end} "):
+        load_checkpoint(path)
+
+
+# a 4-3-2 checkpoint: magic and layer count (8 bytes), then per layer its two
+# dims (8 bytes), weights and biases; w0 starts at byte 16, b0 at 112, w1 at
+# 144 and b1 at 192
+@pytest.mark.parametrize("bad, offset", [
+    ({(0, "w", (1, 1)): np.nan}, 56),
+    ({(0, "b", 2): np.inf}, 128),
+    ({(1, "w", (0, 0)): -np.inf}, 144),
+    ({(1, "b", 1): np.nan}, 200),
+    ({(1, "w", (1, 2)): np.inf, (0, "b", 0): np.nan}, 112),  # the first in the file is named
+], ids=["w0-nan", "b0-inf", "w1-neg-inf", "b1-nan", "first-of-two"])
+def test_a_non_finite_checkpoint_value_is_a_format_error_at_its_offset(tmp_path, bad, offset):
+    net = random_net([4, 3, 2], seed=19)
+    for (layer, kind, at), value in bad.items():
+        (net.weights if kind == "w" else net.biases)[layer][at] = value
+    path = tmp_path / "net.rsm"
+    save_checkpoint(net, path)
+    with pytest.raises(FormatError, match=rf"^non-finite value at offset {offset} in "
+                                          rf"{re.escape(str(path))}$"):
         load_checkpoint(path)
 
 

@@ -32,6 +32,10 @@ other keys are kept. The file is rewritten after every pair, so a run that
 fails leaves the pairs measured before it in the report. `about` holds this
 paragraph, on one line.
 
+After the last pair it prints one line per workload and end-to-end metric
+(`verdict_lines`): the parent's median -> the change's, the pairs the change
+won and the verdict.
+
 Standard library only.
 """
 
@@ -124,6 +128,14 @@ def summarize(pairs, better: dict, bounds: dict) -> dict:
     return out
 
 
+def verdict_lines(key: str, summary: dict, end_to_end) -> list:
+    """`<key> <metric>: <parent median> -> <change median> <unit>, <wins>/<pairs> wins,
+    <verdict>` for each end-to-end metric of BENCHMARK.json that `summary` holds."""
+    return [f"{key} {m['name']}: {e['parent']['median']:.4g} -> {e['change']['median']:.4g} "
+            f"{m['unit']}, {e['change_wins']}/{e['pairs']} wins, {e['verdict']}"
+            for m in end_to_end if (e := summary.get(m["name"]))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="parent commit checkout")
@@ -159,6 +171,7 @@ def main(argv=None) -> int:
                          f"--seconds {args.seconds:g} --trace <0 or 1> --size {args.size}")
     report["about"] = " ".join(next(p for p in __doc__.split("\n\n")
                                     if p.startswith("The output")).split())
+    measured = []
     # both sides' decoded-file cache, so no run fills or prunes the user's
     with tempfile.TemporaryDirectory(prefix="bench_pairs-cache-") as cache, \
             mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
@@ -173,6 +186,7 @@ def main(argv=None) -> int:
                 for side in sides:
                     run(side)  # warm-up, discarded
                 pairs = report["pairs"][key] = []
+                measured.append(key)
                 for k in range(1, args.pairs + 1):
                     order = ("parent", "change") if k % 2 else ("change", "parent")
                     runs = {side: run(side) for side in order}
@@ -189,6 +203,9 @@ def main(argv=None) -> int:
                     report["summary"][key]["src_lines"] = {side: runs[side]["facts"]["src_lines"]
                                                            for side in sides}
                     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for key in measured:
+        for line in verdict_lines(key, report["summary"][key], spec["end_to_end"]):
+            print(line)
     return 0
 
 
