@@ -218,20 +218,16 @@ def run_trials(config: ExperimentConfig, dataset_pair=None) -> TrialAggregate:
 
 
 def grid_search(config: ExperimentConfig, b_values, alpha_values):
-    """run_trials per (b, alpha) point, in (b, alpha) order, keeping only each point's rows.
-    Returns (rows, best), best the rows' (b, alpha) and mean max val acc at the largest mean,
-    ties to the smallest point. Refuses a grid whose points `read_axes` cannot tell apart."""
+    """run_trials per (b, alpha) point, in (b, alpha) order: (rows, best), best the rows' (b, alpha)
+    and mean max val acc at the first largest mean. Refuses an empty axis, and a grid that would
+    train one network twice: a repeated value, or several on an axis `read_axes` finds unread."""
     axes = (("b", b_values), ("alpha", alpha_values))
     for name, values in axes:
         if not values:
             raise ConfigError(f"{name} grid must list at least one value")
     sm, schedule = config.smoothing, config.schedule
-    reads = read_axes(config)
     setting = f"smoothing mode {sm.mode} (schedule {schedule.kind}, local_scale {sm.local_scale:g})"
-    if not any(reads):
-        raise ConfigError(f"{setting} reads neither b nor alpha: "
-                          "every grid point would train the same network")
-    for (name, values), read in zip(axes, reads):
+    for (name, values), read in zip(axes, read_axes(config)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} grid {sorted(values)} repeats a value")
         if len(values) > 1 and not read:

@@ -246,14 +246,32 @@ def test_grid_over_the_one_axis_a_mode_reads(tiny_corpus, tmp_path, mode, flag, 
     assert [row[:2] for row in rows] == label
 
 
-def test_grid_without_axis_flags_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
-    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", "mode = off"))
-    out = tmp_path / "out"
-    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: smoothing mode off (schedule laplace, local_scale 1) reads neither b nor alpha: "
-        "every grid point would train the same network\n")
-    assert not out.exists()
+# edits of tiny_corpus for each kind of config that reads neither axis
+_READS_NEITHER = {
+    "off": [("mode = global_local", "mode = off")],
+    "global-off": [("mode = global_local", "mode = global"),
+                   ("schedule = laplace", "schedule = off")],
+    "global_local-off": [("schedule = laplace", "schedule = off")],
+    "local-scale-0": [("mode = global_local", "mode = local"),
+                      ("alpha = 1.0", "alpha = 1.0\nlocal_scale = 0")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READS_NEITHER))
+def test_grid_without_axis_flags_on_a_config_that_reads_neither_axis_is_train(
+        tiny_corpus, tmp_path, capsys, case):
+    text = tiny_corpus.read_text()
+    for old, new in _READS_NEITHER[case]:
+        assert old in text
+        text = text.replace(old, new)
+    tiny_corpus.write_text(text)
+    assert main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "train")]) == 0
+    mean_max = re.search(r"^mean max val acc: (.*)$", capsys.readouterr().out, flags=re.M)[1]
+    assert main(["grid", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "grid")]) == 0
+    assert capsys.readouterr().out == (
+        f"grid points: 1\nbest b=0 alpha=0 mean max val acc: {mean_max}\n")
+    assert ((tmp_path / "grid" / "grid.csv").read_bytes()
+            == (tmp_path / "train" / "aggregate.csv").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["train", "grid"])
@@ -431,8 +449,8 @@ def test_grid_in_mode_off_exits_nonzero(tiny_corpus, tmp_path, capsys):
                  "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: smoothing mode off (schedule laplace, local_scale 1) reads neither b nor alpha: "
-        "every grid point would train the same network\n")
+        "error: smoothing mode off (schedule laplace, local_scale 1) never reads b: "
+        "every point of the b grid [0.3, 0.5] would train the same network\n")
     assert not out.exists()
 
 

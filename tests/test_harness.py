@@ -550,6 +550,14 @@ def test_summarize_tail_window():
     assert tail_mean_val_acc <= max_val_acc
 
 
+@pytest.mark.parametrize("vals, tail", [
+    ([50, 60, 70, 72, 71, 74, 73, 76, 77, 78, 79, 80, 81, 82, 84], 83.0),  # last 2 of 15
+    ([50, 60, 70, 80, 90], 90.0)])  # last 1 of 5
+def test_summarize_tail_window_is_a_tenth_of_the_epochs_rounded_up(vals, tail):
+    rows = [EpochMetrics(i, 0.0, 0.0, float(v), 0.0, 0.0) for i, v in enumerate(vals)]
+    assert summarize(rows) == (max(vals), tail)
+
+
 def test_run_trials_single_trial_equals_train(make_blobs):
     pair = blob_pair(make_blobs)
     cfg = blob_config(epochs=5, trials=1)
@@ -685,28 +693,26 @@ def test_grid_keeps_no_network(make_blobs, monkeypatch):
 
 
 _NEVER_READS = {  # each refusal's text after "smoothing mode ... (schedule ..., local_scale ...)"
-    "neither": "reads neither b nor alpha: every grid point would train the same network",
-    "b": "never reads b: every point of the b grid [0.3, 0.7] would train the same network",
-    "alpha": "never reads alpha: every point of the alpha grid [1.0, 2.0] would train the same "
-             "network",
+    "b": "never reads b: every point of the b grid {} would train the same network",
+    "alpha": "never reads alpha: every point of the alpha grid {} would train the same network",
 }
 
 
 @pytest.mark.parametrize("mode, kind, local_scale, b_values, alpha_values, unread", [
-    ("global", "off", 1.0, [0.7, 0.3], [1.0], "neither"),
+    ("global", "off", 1.0, [0.7, 0.3], [1.0], "b"),
     ("local", "laplace", 1.0, [0.7, 0.3], [1.0], "b"),
-    ("global_local", "off", 1.0, [0.7, 0.3], [1.0], "neither"),
+    ("global_local", "off", 1.0, [0.7, 0.3], [1.0], "b"),
     ("global", "laplace", 1.0, [0.5], [1.0, 2.0], "alpha"),
-    ("global_local", "off", 1.0, [0.5], [1.0, 2.0], "neither"),
-    ("local", "laplace", 0.0, [0.5], [0.5, 1.0, 4.0], "neither"),
+    ("global_local", "off", 1.0, [0.5], [1.0, 2.0], "alpha"),
+    ("local", "laplace", 0.0, [0.5], [0.5, 1.0, 4.0], "alpha"),
     ("global", "logistic", 1.0, [0.7, 0.3], [1.0], None),
     ("global_local", "laplace", 1.0, [0.7, 0.3], [1.0, 2.0], None),
     ("local", "off", 1.0, [0.5], [1.0, 2.0], None),
-    # a config that reads neither axis is refused even for a one-point grid
-    ("off", "laplace", 1.0, [0.5], [1.0], "neither"),
-    ("global", "off", 1.0, [0.5], [1.0], "neither"),
-    ("global_local", "off", 1.0, [0.5], [1.0], "neither"),
-    ("local", "laplace", 0.0, [0.5], [1.0], "neither"),
+    # a config that reads neither axis runs a one-point grid, as every config does
+    ("off", "laplace", 1.0, [0.5], [1.0], None),
+    ("global", "off", 1.0, [0.5], [1.0], None),
+    ("global_local", "off", 1.0, [0.5], [1.0], None),
+    ("local", "laplace", 0.0, [0.5], [1.0], None),
 ])
 def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
         monkeypatch, mode, kind, local_scale, b_values, alpha_values, unread):
@@ -721,8 +727,25 @@ def test_grid_refuses_several_values_on_an_axis_the_config_never_reads(
     else:
         with pytest.raises(ConfigError) as err:
             grid_search(cfg, b_values, alpha_values)
+        values = b_values if unread == "b" else alpha_values
         assert str(err.value) == (f"smoothing mode {mode} (schedule {kind}, local_scale "
-                                  f"{local_scale:g}) {_NEVER_READS[unread]}")
+                                  f"{local_scale:g}) {_NEVER_READS[unread].format(sorted(values))}")
+
+
+@pytest.mark.parametrize("mode, kind, local_scale", [
+    ("off", "laplace", 1.0), ("global", "off", 1.0), ("global_local", "off", 1.0),
+    ("local", "laplace", 0.0)])
+def test_a_one_point_grid_on_a_config_that_reads_neither_axis_is_run_trials(
+        make_blobs, monkeypatch, mode, kind, local_scale):
+    pair = blob_pair(make_blobs)
+    monkeypatch.setattr(harness, "prepare_data", lambda cfg: pair)
+    cfg = blob_config(epochs=3, trials=2, mode=mode, alpha=1.0)
+    cfg = dataclasses.replace(cfg, schedule=AnnealSchedule(kind=kind),
+                              smoothing=dataclasses.replace(cfg.smoothing, local_scale=local_scale))
+    rows, best = grid_search(cfg, [cfg.schedule.b], [cfg.smoothing.alpha])
+    direct = run_trials(cfg)
+    assert tuple(rows) == direct.rows
+    assert best == (0.0, 0.0, direct.mean_max_val_acc)  # rows carry 0 for each unread setting
 
 
 @pytest.mark.parametrize("b_values, alpha_values, message", [

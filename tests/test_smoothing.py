@@ -75,6 +75,16 @@ def test_normalize_moments():
     assert np.all(np.abs(np.sqrt(np.mean(got ** 2, axis=1)) - 1.0) < 1e-10)
 
 
+def test_normalize_a_small_std_row_is_not_clamped():
+    # rows whose population std lies between the 1e-8 clamp and 1e-4 are divided by that std
+    rng = np.random.default_rng(8)
+    d_rows = 0.5 + rng.standard_normal((3, 10)) * np.array([[2e-8], [1e-6], [5e-5]])
+    centered = d_rows - d_rows.mean(axis=1, keepdims=True)
+    std = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
+    assert np.all((std > 1e-8) & (std < 1e-4))
+    np.testing.assert_allclose(batch_normalize(d_rows), centered / std, rtol=1e-9, atol=0)
+
+
 # --- sigmoid ------------------------------------------------------------------
 
 def test_sigmoid_midpoint():
