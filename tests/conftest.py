@@ -2,13 +2,14 @@
 the image corpus used by the end-to-end protocol tests.
 
 The corpus prefers real Fashion-MNIST IDX files (looked up in $RSM_DATA_DIR,
-then ./data). When absent, a deterministic procedurally generated surrogate
-with the same shape (60k/10k, 28x28, 10 classes) is written as gzipped IDX
-files and loaded through the production loader, so every pipeline stage is
-still exercised end to end.
+then ./data). When absent, it is the benchmark's generated corpus
+(`perfbench/gen.py`) at seed 17, which ROADMAP.md's and BENCH_*.json's
+accuracy numbers use: 60k/10k 28x28 images of 10 classes, written as gzipped
+IDX files under pytest's tmp dir and read through the production loader.
 """
 
 import gzip
+import importlib.util
 import os
 import struct
 from pathlib import Path
@@ -19,12 +20,12 @@ import pytest
 from ressmooth.data import Dataset
 from ressmooth.nn import Network, load_parameters
 
-FASHION_FILES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+CORPUS_SEED = 17  # ROADMAP's protocol seed and BENCH_21.json's, fixed before any gate ran
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -103,76 +104,15 @@ def write_idx_pair(images, labels, images_path, labels_path, gzipped=True):
     Path(labels_path).write_bytes(lbl_blob)
 
 
-def _prototypes():
-    yy, xx = np.mgrid[0:28, 0:28].astype(float)
-    r = np.sqrt((yy - 13.5) ** 2 + (xx - 13.5) ** 2)
-    protos = [
-        (yy >= 6) & (yy < 22) & (xx >= 8) & (xx < 20),
-        ((yy >= 4) & (yy < 24) & (xx >= 6) & (xx < 22))
-        & ~((yy >= 8) & (yy < 20) & (xx >= 10) & (xx < 18)),
-        (yy.astype(int) // 3) % 2 == 0,
-        (xx.astype(int) // 3) % 2 == 0,
-        r < 8.0,
-        (r > 5.0) & (r < 9.5),
-        np.abs(yy - xx) < 4.0,
-        np.abs(yy + xx - 27.0) < 4.0,
-        (np.sqrt((yy - 7.0) ** 2 + (xx - 7.0) ** 2) < 5.0)
-        | (np.sqrt((yy - 20.0) ** 2 + (xx - 20.0) ** 2) < 5.0),
-        (np.abs(yy - 13.5) < 3.0) | (np.abs(xx - 13.5) < 3.0),
-    ]
-    return [p.astype(float) for p in protos]
-
-
-def _render_split(count, seed):
-    """count samples, balanced labels; returns (uint8 images, uint8 labels).
-
-    Shaped to behave like the desk-scale MLP reference corpus: quick early
-    separability (most classes are distinct shapes) with a modest accuracy
-    ceiling from heavily blended look-alike pairs (0/1, 2/3, 4/5, 6/7, 8/9)."""
-    rng = np.random.default_rng(seed)
-    protos = _prototypes()
-    labels = rng.integers(0, 10, size=count).astype(np.uint8)
-    images = np.empty((count, 28, 28), dtype=np.uint8)
-    shifts = rng.integers(-3, 4, size=(count, 2))
-    intensities = rng.uniform(0.5, 1.0, size=count)
-    blend_weight = rng.uniform(0.0, 0.5, size=count)
-    erase = rng.random(count) < 0.3
-    erase_at = rng.integers(0, 20, size=(count, 2))
-    noise = rng.normal(0.0, 0.28, size=(count, 28, 28))
-    flip = rng.random(count) < 0.05  # twin-pair label ambiguity caps accuracy
-    for i in range(count):
-        twin = labels[i] ^ 1  # the confusable partner class
-        img = (1.0 - blend_weight[i]) * protos[labels[i]] + blend_weight[i] * protos[twin]
-        img = np.roll(img, (shifts[i, 0], shifts[i, 1]), axis=(0, 1))
-        img = img * intensities[i] + noise[i]
-        if erase[i]:
-            y0, x0 = erase_at[i]
-            img[y0:y0 + 8, x0:x0 + 8] = 0.0
-        images[i] = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    labels[flip] ^= 1
-    return images, labels
-
-
-def generate_surrogate(root: Path):
-    train_images, train_labels = _render_split(60000, seed=20240901)
-    test_images, test_labels = _render_split(10000, seed=20240902)
-    write_idx_pair(train_images, train_labels,
-                   root / (FASHION_FILES["train_images"] + ".gz"),
-                   root / (FASHION_FILES["train_labels"] + ".gz"))
-    write_idx_pair(test_images, test_labels,
-                   root / (FASHION_FILES["test_images"] + ".gz"),
-                   root / (FASHION_FILES["test_labels"] + ".gz"))
-
-
 def _find_real_corpus():
     candidates = []
     if os.environ.get("RSM_DATA_DIR"):
         candidates.append(Path(os.environ["RSM_DATA_DIR"]))
-    candidates.append(Path(__file__).resolve().parent.parent / "data")
+    candidates.append(ROOT / "data")
     for base in candidates:
         paths = {}
-        for key, stem in FASHION_FILES.items():
-            for name in (stem + ".gz", stem):
+        for key, gz_name in gen.IDX_NAMES.items():
+            for name in (gz_name, gz_name.removesuffix(".gz")):
                 if (base / name).exists():
                     paths[key] = base / name
                     break
@@ -183,20 +123,14 @@ def _find_real_corpus():
 
 @pytest.fixture(scope="session")
 def corpus(tmp_path_factory):
-    """Dict with the four IDX paths plus a 'source' tag (fashion-mnist or
-    surrogate)."""
+    """Dict with the four IDX paths plus a 'source' tag: fashion-mnist, or the
+    benchmark's generated corpus at CORPUS_SEED."""
     real = _find_real_corpus()
     if real is not None:
         return {**{k: str(v) for k, v in real.items()}, "source": "fashion-mnist"}
-    root = tmp_path_factory.mktemp("corpus")
-    generate_surrogate(root)
-    return {
-        "train_images": str(root / (FASHION_FILES["train_images"] + ".gz")),
-        "train_labels": str(root / (FASHION_FILES["train_labels"] + ".gz")),
-        "test_images": str(root / (FASHION_FILES["test_images"] + ".gz")),
-        "test_labels": str(root / (FASHION_FILES["test_labels"] + ".gz")),
-        "source": "surrogate",
-    }
+    root, _ = gen.ensure_inputs(tmp_path_factory.mktemp("corpus"), "corpus", CORPUS_SEED)
+    return {**{k: str(root / name) for k, name in gen.IDX_NAMES.items()},
+            "source": f"benchmark corpus seed {CORPUS_SEED}"}
 
 
 def read_csv(path):

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -17,11 +18,25 @@ VAL_ACC = {"parent": [0.0, 90.0, 90.0, 90.0, 90.0], "change": [0.0, 91.0, 90.0, 
 SRC_LINES = {"parent": 1554, "change": 1460}
 
 
-def test_summary_counts_strict_wins_and_carries_src_lines(tmp_path, monkeypatch):
+@pytest.fixture
+def sides(tmp_path):
+    """Empty parent and change checkouts; the change holds BENCHMARK.json."""
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for path in sides.values():
         path.mkdir()
     shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+    return sides
+
+
+def run_main(sides, out, run_once, workloads="many_class", pairs=4):
+    """bench_pairs.main on the two checkouts, with `run_once` in place of a benchmark run."""
+    with mock.patch.object(bench_pairs, "run_once", run_once):
+        return bench_pairs.main(["--parent", str(sides["parent"]),
+                                 "--change", str(sides["change"]), "--workloads", workloads,
+                                 "--pairs", str(pairs), "--out", str(out)])
+
+
+def test_summary_counts_strict_wins_and_carries_src_lines(tmp_path, sides):
     calls = {"parent": 0, "change": 0}
 
     def run_once(checkout, workload, seed, seconds, trace, size):
@@ -32,11 +47,8 @@ def test_summary_counts_strict_wins_and_carries_src_lines(tmp_path, monkeypatch)
                 "metrics": {"run_s": RUN_S[side][k], "val_acc_max": VAL_ACC[side][k]},
                 "failed": 0}
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                             "--workloads", "many_class", "--pairs", "4",
-                             "--out", str(out)]) == 0
+    assert run_main(sides, out, run_once) == 0
     assert calls == {"parent": 5, "change": 5}
     report = json.loads(out.read_text())
     summary = report["summary"]["many_class-seed17"]
@@ -79,12 +91,8 @@ VERDICTS = {
 
 
 @pytest.mark.parametrize("case", VERDICTS)
-def test_each_end_to_end_metric_gets_a_verdict_from_its_bound(tmp_path, monkeypatch, case):
+def test_each_end_to_end_metric_gets_a_verdict_from_its_bound(tmp_path, sides, case):
     name, parent, change = VERDICTS[case]
-    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    for path in sides.values():
-        path.mkdir()
-    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
     values = {"parent": [0.0, *parent], "change": [0.0, *change]}  # a warm-up run first
     calls = {"parent": 0, "change": 0}
 
@@ -95,21 +103,14 @@ def test_each_end_to_end_metric_gets_a_verdict_from_its_bound(tmp_path, monkeypa
         return {"facts": {"src_lines": 1, "outputs_sha256": {"a": "0"}},
                 "metrics": {name: values[side][k], "optim.step.calls": 1.0}, "failed": 0}
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                             "--workloads", "many_class", "--pairs", "4",
-                             "--out", str(out)]) == 0
+    assert run_main(sides, out, run_once) == 0
     summary = json.loads(out.read_text())["summary"]["many_class-seed17"]
     assert summary[name]["verdict"] == case
     assert "verdict" not in summary["optim.step.calls"]  # a per-layer metric has no bound
 
 
-def test_summary_counts_identical_outputs_and_failed_trials(tmp_path, monkeypatch):
-    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    for path in sides.values():
-        path.mkdir()
-    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+def test_summary_counts_identical_outputs_and_failed_trials(tmp_path, sides):
     calls = {"parent": 0, "change": 0}
 
     def run_once(checkout, workload, seed, seconds, trace, size):
@@ -123,32 +124,20 @@ def test_summary_counts_identical_outputs_and_failed_trials(tmp_path, monkeypatc
                 "metrics": {"run_s": RUN_S[side][k]},
                 "failed": int((side, k) == ("change", 4))}
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                             "--workloads", "many_class", "--pairs", "4",
-                             "--out", str(out)]) == 0
+    assert run_main(sides, out, run_once) == 0
     summary = json.loads(out.read_text())["summary"]["many_class-seed17"]
     assert summary["outputs_identical"] == {"identical": 3, "pairs": 4}
     assert summary["failed"] == {"parent": 0, "change": 1}
 
 
-def test_the_report_is_described_once_by_the_docstrings_output_paragraph(tmp_path,
-                                                                          monkeypatch):
-    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    for path in sides.values():
-        path.mkdir()
-    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
-
+def test_the_report_is_described_once_by_the_docstrings_output_paragraph(tmp_path, sides):
     def run_once(checkout, workload, seed, seconds, trace, size):
         return {"facts": {"src_lines": 1, "outputs_sha256": {"a": "0"}},
                 "metrics": {"run_s": 1.0}, "failed": 0}
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                             "--workloads", "many_class", "--pairs", "2",
-                             "--out", str(out)]) == 0
+    assert run_main(sides, out, run_once, pairs=2) == 0
     report = json.loads(out.read_text())
     paragraphs = [" ".join(p.split()) for p in bench_pairs.__doc__.split("\n\n")]
     assert report["about"] in paragraphs
@@ -160,11 +149,7 @@ def test_the_report_is_described_once_by_the_docstrings_output_paragraph(tmp_pat
 
 
 def test_a_verdict_line_per_workload_and_end_to_end_metric_is_printed_at_exit(
-        tmp_path, monkeypatch, capsys):
-    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    for path in sides.values():
-        path.mkdir()
-    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+        tmp_path, capsys, sides):
     change_run_s = {"many_class": 1.5, "grid_sweep": 3.0}
 
     def run_once(checkout, workload, seed, seconds, trace, size):
@@ -174,10 +159,7 @@ def test_a_verdict_line_per_workload_and_end_to_end_metric_is_printed_at_exit(
                 "metrics": {"run_s": run_s, "val_acc_max": 90.0, "optim.step.calls": 1.0},
                 "failed": 0}
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                             "--workloads", "many_class,grid_sweep", "--pairs", "4",
-                             "--out", str(tmp_path / "BENCH.json")]) == 0
+    assert run_main(sides, tmp_path / "BENCH.json", run_once, "many_class,grid_sweep") == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 * 4 + 4 and all(" pair " in line for line in lines[:8])
     # BENCHMARK.json's order and units; a per-layer metric has no line
@@ -187,11 +169,7 @@ def test_a_verdict_line_per_workload_and_end_to_end_metric_is_printed_at_exit(
                          "grid_sweep-seed17 val_acc_max: 90 -> 90 %, 0/4 wins, same"]
 
 
-def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, monkeypatch):
-    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    for path in sides.values():
-        path.mkdir()
-    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, sides):
     calls = {"parent": 0, "change": 0}
 
     def run_once(checkout, workload, seed, seconds, trace, size):
@@ -204,12 +182,10 @@ def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, monkeypatch):
         return {"facts": {"src_lines": SRC_LINES[side], "outputs_sha256": {"a": "0"}},
                 "metrics": {"run_s": RUN_S[side][k]}, "failed": 0}
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"pairs": {"older-seed17": []}, "reports": {}, "summary": {}}))
     with pytest.raises(SystemExit, match="exited with 1"):
-        bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                          "--workloads", "many_class", "--pairs", "4", "--out", str(out)])
+        run_main(sides, out, run_once)
     assert calls == {"parent": 4, "change": 3}
     report = json.loads(out.read_text())
     assert list(report["pairs"]) == ["older-seed17", "many_class-seed17"]
@@ -221,11 +197,7 @@ def test_a_failed_run_keeps_the_pairs_measured_before_it(tmp_path, monkeypatch):
     assert report["reports"]["many_class-seed17"]["metrics"] == {"run_s": 2.0}
 
 
-def test_every_run_shares_one_temporary_cache_removed_at_exit(tmp_path, monkeypatch):
-    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    for path in sides.values():
-        path.mkdir()
-    shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+def test_every_run_shares_one_temporary_cache_removed_at_exit(tmp_path, monkeypatch, sides):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "user-cache"))
     seen = set()
 
@@ -236,10 +208,8 @@ def test_every_run_shares_one_temporary_cache_removed_at_exit(tmp_path, monkeypa
         return {"facts": {"src_lines": 1, "outputs_sha256": {"a": "0"}},
                 "metrics": {"run_s": 1.0}, "failed": 0}
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
-                             "--workloads", "many_class,grid_sweep", "--pairs", "2",
-                             "--out", str(tmp_path / "BENCH.json")]) == 0
+    assert run_main(sides, tmp_path / "BENCH.json", run_once, "many_class,grid_sweep",
+                    pairs=2) == 0
     cache, = seen
     assert cache != str(tmp_path / "user-cache") and not Path(cache).exists()
     assert os.environ["XDG_CACHE_HOME"] == str(tmp_path / "user-cache")
