@@ -4,19 +4,12 @@ including a checkpoint that does not fit the configured network.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from . import harness, nn
 from .config import float_list, parse_config
 from .errors import ConfigError, FormatError, InputError, ShapeError, TrainingError
-
-
-def _add_run_flags(sub):
-    sub.add_argument("--seed", type=int, default=None, help="override base_seed")
-    sub.add_argument("--out-dir", default=".", help="directory for emitted files")
-    sub.add_argument("--trials", type=int, default=None, help="override trial count")
 
 
 def build_parser():
@@ -28,8 +21,8 @@ def build_parser():
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     for command in (train_p, grid_p, eval_p):
         command.add_argument("--config", required=True, help="experiment config file")
-    _add_run_flags(train_p)
-    _add_run_flags(grid_p)
+    for command in (train_p, grid_p):
+        command.add_argument("--out-dir", default=".", help="directory for emitted files")
     grid_p.add_argument("--b-grid", help="comma-separated b values (default: the config's b)")
     grid_p.add_argument("--alpha-grid", help="comma-separated alphas (default: the config's alpha)")
     eval_p.add_argument("--checkpoint", required=True)
@@ -37,17 +30,12 @@ def build_parser():
 
 
 def _load_config(args):
-    """The config after the flags' overrides, and the output directory, refused before any work
-    when it or a directory above it is an existing file."""
+    """The config, and the output directory, refused before any work when it or a
+    directory above it is an existing file."""
     out = Path(args.out_dir)
     if file := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None):
         raise ConfigError(f"--out-dir {out}: {file} is not a directory")
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, base_seed=args.seed)
-    if args.trials is not None:
-        config = dataclasses.replace(config, trials=args.trials)
-    return config, out
+    return parse_config(args.config), out
 
 
 def _cmd_train(args) -> int:

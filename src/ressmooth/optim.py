@@ -69,8 +69,8 @@ def lr_at(config: SgdConfig, progress: float) -> float:
     return config.lr_high if progress < config.drop_at else config.lr_low
 
 
-# Elements per SGD block: 256 KiB of float64, so the five passes over a block
-# of parameters, velocities and gradients run in L2 rather than from memory.
+# Elements per SGD block: 256 KiB of float64, so the six in-place passes over a weight
+# block (four over a bias block) of parameters, velocities and gradients run in L2.
 _BLOCK = 1 << 15
 
 

@@ -94,14 +94,6 @@ def test_a_train_under_a_umask_writes_every_file_in_its_mode_and_no_temp(tiny_co
         p.name: oct(0o640) for p in written}
 
 
-def test_seed_override_changes_outputs(tiny_corpus, tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out_a)])
-    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out_b), "--seed", "99"])
-    assert (out_a / "checkpoint_trial0.rsm").read_bytes() != \
-        (out_b / "checkpoint_trial0.rsm").read_bytes()
-
-
 def test_eval_subcommand(tiny_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     main(["train", "--config", str(tiny_corpus), "--out-dir", str(out)])
@@ -112,8 +104,9 @@ def test_eval_subcommand(tiny_corpus, tmp_path, capsys):
 
 
 def test_eval_reads_only_the_test_split(tiny_corpus, tmp_path, capsys):
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("trials = 2", "trials = 1"))
     out = tmp_path / "out"
-    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out), "--trials", "1"])
+    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out)])
     argv = ["eval", "--config", str(tiny_corpus),
             "--checkpoint", str(out / "checkpoint_trial0.rsm")]
     capsys.readouterr()
@@ -127,8 +120,9 @@ def test_eval_reads_only_the_test_split(tiny_corpus, tmp_path, capsys):
 
 
 def test_eval_of_a_mismatched_checkpoint_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("trials = 2", "trials = 1"))
     out = tmp_path / "out"
-    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out), "--trials", "1"])
+    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out)])
     tiny_corpus.write_text(tiny_corpus.read_text().replace("hidden = 8", "hidden = 5"))
     code = main(["eval", "--config", str(tiny_corpus),
                  "--checkpoint", str(out / "checkpoint_trial0.rsm")])
@@ -137,8 +131,9 @@ def test_eval_of_a_mismatched_checkpoint_exits_nonzero(tiny_corpus, tmp_path, ca
 
 
 def test_eval_of_a_checkpoint_holding_a_nan_exits_nonzero(tiny_corpus, tmp_path, capsys):
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("trials = 2", "trials = 1"))
     out = tmp_path / "out"
-    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out), "--trials", "1"])
+    main(["train", "--config", str(tiny_corpus), "--out-dir", str(out)])
     path = out / "checkpoint_trial0.rsm"
     blob = bytearray(path.read_bytes())
     blob[24:32] = np.float64(np.nan).tobytes()  # the second weight of the first layer
@@ -173,17 +168,18 @@ def test_a_network_too_large_to_allocate_exits_nonzero(tiny_corpus, tmp_path, ca
 
 
 def test_negative_seed_exits_nonzero(tiny_corpus, tmp_path, capsys):
-    code = main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "out"),
-                 "--seed", "-1"])
+    tiny_corpus.write_text(tiny_corpus.read_text() + "base_seed = -1\n")  # [run] is last
+    code = main(["train", "--config", str(tiny_corpus), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "error: base_seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_grid_subcommand(tiny_corpus, tmp_path, capsys):
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("trials = 2", "trials = 1"))
     out = tmp_path / "out"
     code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
-                 "--trials", "1", "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
+                 "--b-grid", "0.3,0.5", "--alpha-grid", "1"])
     assert code == 0
     lines = (out / "grid.csv").read_text().splitlines()
     assert lines[0] == "b,alpha,trial,max_val_acc,tail_mean_val_acc"
@@ -192,10 +188,11 @@ def test_grid_subcommand(tiny_corpus, tmp_path, capsys):
 
 
 def test_grid_in_mode_local_writes_b_0(tiny_corpus, tmp_path, capsys):
-    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", "mode = local"))
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", "mode = local")
+                           .replace("trials = 2", "trials = 1"))
     out = tmp_path / "out"
     code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
-                 "--trials", "1", "--b-grid", "0.5", "--alpha-grid", "1,2"])
+                 "--b-grid", "0.5", "--alpha-grid", "1,2"])
     assert code == 0
     rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
     assert [row[:2] for row in rows] == [["0.000000", "1.000000"], ["0.000000", "2.000000"]]
@@ -237,10 +234,10 @@ def test_grid_without_axis_flags_runs_the_configs_own_point(tiny_corpus, tmp_pat
 ], ids=["global", "local"])
 def test_grid_over_the_one_axis_a_mode_reads(tiny_corpus, tmp_path, mode, flag, values, label):
     # the other axis is the config's own value, which this mode does not read
-    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", f"mode = {mode}"))
+    tiny_corpus.write_text(tiny_corpus.read_text().replace("mode = global_local", f"mode = {mode}")
+                           .replace("trials = 2", "trials = 1"))
     out = tmp_path / "out"
-    code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out),
-                 "--trials", "1", flag, values])
+    code = main(["grid", "--config", str(tiny_corpus), "--out-dir", str(out), flag, values])
     assert code == 0
     rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
     assert [row[:2] for row in rows] == label

@@ -570,6 +570,17 @@ def test_run_trials_single_trial_equals_train(make_blobs):
     assert aggregate.mean_tail_val_acc == tail_mean_val_acc
 
 
+def test_run_trials_trains_trial_k_at_base_seed_plus_k(make_blobs):
+    pair = blob_pair(make_blobs)
+    cfg = blob_config(epochs=3, trials=2, base_seed=9)
+    aggregate = run_trials(cfg, pair)
+    for k in range(2):
+        network, metrics = train(cfg, 9 + k, pair)
+        assert aggregate.rows[k] == TrialRow(0.0, 0.0, k, *summarize(metrics))
+        assert aggregate.metrics[k] == tuple(metrics)
+        assert aggregate.networks[k].params.tobytes() == network.params.tobytes()
+
+
 def test_run_trials_mean_of_max_dominates(make_blobs):
     pair = blob_pair(make_blobs)
     aggregate = run_trials(blob_config(epochs=5, trials=3), pair)

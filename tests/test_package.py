@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -121,11 +122,19 @@ def test_the_step_path_checks_no_bounded_value_again():
 
 def test_the_cli_holds_no_run_setting_of_its_own():
     # an omitted flag falls back to the config; only the output directory has a default
+    parser = cli.build_parser()
     for command in ("train", "grid"):
-        args = vars(cli.build_parser().parse_args([command, "--config", "x"]))
+        args = vars(parser.parse_args([command, "--config", "x"]))
         set_by_cli = {name: value for name, value in args.items()
                       if value is not None and name not in ("command", "config", "out_dir")}
         assert set_by_cli == {}
+    # every run setting is read from the config: the flags name files and the grid's axes
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {command: [flag for action in sub._actions for flag in action.option_strings]
+            for command, sub in subparsers.choices.items()} == {
+        "train": ["-h", "--help", "--config", "--out-dir"],
+        "grid": ["-h", "--help", "--config", "--out-dir", "--b-grid", "--alpha-grid"],
+        "eval": ["-h", "--help", "--config", "--checkpoint"]}
 
 
 def test_a_traced_benchmark_run_reads_every_per_layer_metric_above_zero(tmp_path):

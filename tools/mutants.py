@@ -57,6 +57,8 @@ MUTANTS = [
      "yield np.arange(dataset.n)[start:start + batch_size]", False),
     ("eps_std_1e-4", "src/ressmooth/smoothing.py",
      "EPS_STD = 1e-8", "EPS_STD = 1e-4", False),
+    ("base_seed_ignored", "src/ressmooth/harness.py",
+     "train(config, config.base_seed + k, dataset_pair)", "train(config, k, dataset_pair)", False),
 ]
 
 # gates 5-7 train the protocol over many trials, most of the suite's time; the
